@@ -150,12 +150,8 @@ def _encode_stripes(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
     """Encode data of shape (l, k, stripes) into cells (l, n, stripes)."""
     p = spec.params
     field = make_field(spec.fieldspec)
-    stripes = data.shape[2]
-    points = np.repeat(spec.coeff_matrix(), stripes, axis=0)
-    flat = data.transpose(0, 2, 1).reshape(p.l * stripes, p.k)
-    parity = recover_batched(field, points, p.r, np.arange(p.k), flat)
-    cells = np.concatenate([flat, parity], axis=1)
-    return cells.reshape(p.l, stripes, p.n).transpose(0, 2, 1)
+    parity = recover_batched(field, spec.coeff_matrix(), p.r, np.arange(p.k), data)
+    return np.concatenate([data, parity], axis=1)
 
 
 def cmd_encode(
@@ -294,6 +290,11 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
     reference: "ShardHeader | None" = None
     for path in paths:
         header, payload = _read_shard(path)
+        # names are unique, so this also rejects two shards claiming one node
+        if path.name != _shard_name(header.node):
+            raise ShardFormatError(f"{path.name} claims node {header.node}")
+        if not 1 <= header.node <= header.spec.params.n:
+            raise ShardFormatError(f"{path.name} claims node {header.node} outside the code")
         if zlib.crc32(payload) != header.checksum:
             raise ShardFormatError(f"checksum mismatch in {path.name}")
         if reference is None:
@@ -311,20 +312,17 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
     if len(columns) < p.k:
         raise InadmissibleError(f"need {p.k} shards to decode, found {len(columns)}")
     use = sorted(columns)[: p.k]
-    stripes = reference.stripes
+    known = np.stack([columns[i] for i in use], axis=1)
     if use == list(range(1, p.k + 1)):
-        data = np.stack([columns[i] for i in use], axis=1)
+        data = known
     else:
         field = make_field(spec.fieldspec)
-        points = np.repeat(spec.coeff_matrix(), stripes, axis=0)
-        known = np.stack([columns[i] for i in use], axis=1)
-        flat = known.transpose(0, 2, 1).reshape(p.l * stripes, p.k)
         known_pos = np.array([i - 1 for i in use])
-        rest = recover_batched(field, points, p.r, known_pos, flat)
-        cells = np.empty((p.l * stripes, p.n), dtype=np.int64)
-        cells[:, known_pos] = flat
+        rest = recover_batched(field, spec.coeff_matrix(), p.r, known_pos, known)
+        cells = np.empty((p.l, p.n, reference.stripes), dtype=np.int64)
+        cells[:, known_pos] = known
         cells[:, [j for j in range(p.n) if j + 1 not in use]] = rest
-        data = cells[:, : p.k].reshape(p.l, stripes, p.k).transpose(0, 2, 1)
+        data = cells[:, : p.k]
 
     blob = _symbols_to_bytes(data.transpose(2, 0, 1).reshape(-1), spec.field.order)
     output.write_bytes(blob[: reference.orig_len])

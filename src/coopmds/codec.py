@@ -4,8 +4,9 @@ verification.
 Every parity constraint couples only the n symbols of one row: row a of a
 codeword is a dual-Vandermonde codeword on the points coeff_matrix()[a] with
 r parity equations.  Encoding and decoding are therefore one batched
-completion call each (l independent r x r solves), and verification is a
-powered row-sum sweep.
+completion call each: the completion map is built once per distinct row of
+coeff_matrix() and erasure pattern, then applied to every row that shares
+it.  Verification is a powered row-sum sweep.
 """
 
 from __future__ import annotations

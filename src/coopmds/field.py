@@ -131,6 +131,9 @@ class Field:
             self._w = spec.modulus
             self._poly = _REDUCTION_POLY[self._w]
             self._build_log_tables()
+        self._product: np.ndarray | None = None
+        if self.order <= 256:
+            self._build_product_table()
 
     def _build_log_tables(self) -> None:
         q = self.order
@@ -159,6 +162,20 @@ class Field:
                 return
         raise ValueError(f"no generator found for GF(2^{self._w})")
 
+    def _build_product_table(self) -> None:
+        """Full product table for array multiplies in fields of order <= 256,
+        the table-lookup kernel of Plank, Greenan and Miller (FAST 2013).
+
+        Rows are padded to a power-of-two stride so a product is one lookup at
+        (a << shift) | b; at most 256 x 256 one-byte entries (64 KiB).
+        """
+        q = self.order
+        self._product_shift = (q - 1).bit_length()
+        elems = np.arange(q, dtype=np.int64)
+        table = np.zeros((q, 1 << self._product_shift), dtype=np.uint8)
+        table[:, :q] = self.mul(elems[:, None], elems[None, :])
+        self._product = table.ravel()
+
     # ---- basic operations ----------------------------------------------
 
     def add(self, a, b):
@@ -177,6 +194,10 @@ class Field:
         return a
 
     def mul(self, a, b):
+        if self._product is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            a = np.asarray(a, dtype=np.int64)
+            b = np.asarray(b, dtype=np.int64)
+            return self._product[(a << self._product_shift) | b].astype(np.int64)
         if self.spec.kind == "prime":
             return (a * b) % self._p
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):

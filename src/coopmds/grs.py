@@ -6,14 +6,19 @@ Any N-r coordinates of such a codeword determine the rest: the r unknown
 coordinates solve an r x r Vandermonde subsystem.  That completion step is the
 single kernel every repair computation reduces to.
 
-Solving is plain Gaussian elimination (r stays single-digit at all supported
-scales); ``solve_batched`` runs the same elimination vectorized over a numpy
-stack of independent systems, which is what keeps whole-array encode and
-repair fast.
+The unknowns are a fixed linear function of the knowns, so ``recover_batched``
+builds one r x (N-r) map per distinct point row with ``solve_batched`` (plain
+Gaussian elimination over a numpy stack of systems; r stays single-digit at
+all supported scales) and applies it as a multiply-accumulate to every system
+and stripe that shares the row.  Row grouping and maps are cached for
+read-only point arrays such as ``CodeSpec.coeff_matrix()``, so a code pays
+for them once per erasure pattern rather than once per call or stripe.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,6 +94,73 @@ def solve_vandermonde(field: Field, points: Sequence[int], rhs: Sequence[int]) -
     return [int(v) for v in y[0]]
 
 
+class _RowGroups:
+    """The distinct rows of a points matrix, the inverse index mapping every
+    system to its row, and the completion maps built so far per erasure
+    pattern."""
+
+    def __init__(self, field: Field, points: np.ndarray):
+        nsys, npts = points.shape
+        q = field.order
+        if points.size and (points.min() < 0 or points.max() >= q):
+            raise ValueError("points must be field elements")
+        self.field = field
+        if q**npts <= np.iinfo(np.int64).max:
+            # one mixed-radix integer per row: a 1-D sort instead of a
+            # lexicographic one over the rows
+            key = np.zeros(nsys, dtype=np.int64)
+            for col in range(npts):
+                key = key * q + points[:, col]
+            keys, inverse = np.unique(key, return_inverse=True)
+            self.rows = np.empty((len(keys), npts), dtype=np.int64)
+            for col in reversed(range(npts)):
+                keys, self.rows[:, col] = np.divmod(keys, q)
+        else:
+            self.rows, inverse = np.unique(points, axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(nsys)
+        self.maps: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+
+    def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> np.ndarray:
+        """maps[u] with unknowns = maps[u] @ knowns on distinct row u; shape
+        (rows, parity, len(known_pos))."""
+        key = (parity, tuple(known_pos.tolist()))
+        if key not in self.maps:
+            field, rows = self.field, self.rows
+            nrows, nknown = len(rows), len(known_pos)
+            pw = np.empty((nrows, parity, rows.shape[1]), dtype=np.int64)
+            pw[:, 0] = 1
+            for t in range(1, parity):
+                pw[:, t] = field.mul(pw[:, t - 1], rows)
+            # one system per (row, known coordinate): V_unknown x = -V_known[:, j]
+            mats = np.broadcast_to(pw[:, None][..., unknown_pos], (nrows, nknown, parity, parity))
+            rhs = field.neg(pw[:, :, known_pos]).transpose(0, 2, 1)
+            sol = solve_batched(field, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))
+            self.maps.setdefault(key, sol.reshape(nrows, nknown, parity).transpose(0, 2, 1))
+        return self.maps[key]
+
+
+# Groupings of read-only point arrays, by id() of the array; an entry is
+# dropped when its array is freed, so an id is never looked up stale.
+_GROUPS: dict[int, _RowGroups] = {}
+_GROUPS_LOCK = threading.Lock()
+
+
+def _row_groups(field: Field, points: np.ndarray) -> _RowGroups:
+    """Group the rows of points, reusing the grouping of a read-only array
+    that owns its data (its contents cannot change) for as long as it lives."""
+    if points.flags.writeable or points.base is not None:
+        return _RowGroups(field, points)
+    with _GROUPS_LOCK:
+        groups = _GROUPS.get(id(points))
+    if groups is None or groups.field != field:
+        groups = _RowGroups(field, points)
+        with _GROUPS_LOCK:
+            if id(points) not in _GROUPS:
+                weakref.finalize(points, _GROUPS.pop, id(points), None)
+            _GROUPS[id(points)] = groups
+    return groups
+
+
 def recover_batched(
     field: Field,
     points: np.ndarray,
@@ -100,32 +172,37 @@ def recover_batched(
 
     points: (B, N) per-system evaluation points (distinct within each row);
     known_pos: the N-parity coordinate indices shared by all systems;
-    known_vals: (B, N-parity) symbols at those coordinates.  Returns (B, parity)
-    symbols for the remaining coordinates in ascending position order.
+    known_vals: (B, N-parity) symbols at those coordinates, or (B, N-parity, S)
+    for S stripes that share each system's points.  Returns (B, parity), or
+    (B, parity, S), symbols for the remaining coordinates in ascending
+    position order.
     """
     points = np.asarray(points, dtype=np.int64)
     nsys, npts = points.shape
     known_pos = np.asarray(known_pos, dtype=np.int64)
-    if len(known_pos) != npts - parity:
-        raise ValueError(f"expected {npts - parity} known coordinates, got {len(known_pos)}")
-    if npts - parity < 1:
+    nknown = npts - parity
+    if len(known_pos) != nknown:
+        raise ValueError(f"expected {nknown} known coordinates, got {len(known_pos)}")
+    if nknown < 1:
         raise ValueError("at least one coordinate must be known")
     unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
     if len(unknown_pos) != parity:
         raise ValueError("known positions out of range or repeated")
     known_vals = np.asarray(known_vals, dtype=np.int64)
-    if parity == 0:
-        return np.empty((nsys, 0), dtype=np.int64)
-
-    mats = np.empty((nsys, parity, parity), dtype=np.int64)
-    rhs = np.empty((nsys, parity), dtype=np.int64)
-    pw = np.ones_like(points)
-    for t in range(parity):
-        mats[:, t, :] = pw[:, unknown_pos]
-        rhs[:, t] = field.neg(field.sum(field.mul(pw[:, known_pos], known_vals), axis=1))
-        if t + 1 < parity:
-            pw = field.mul(pw, points)
-    return solve_batched(field, mats, rhs)
+    if known_vals.ndim not in (2, 3) or known_vals.shape[:2] != (nsys, nknown):
+        raise ValueError(f"known_vals must have shape ({nsys}, {nknown}[, stripes])")
+    vals = known_vals if known_vals.ndim == 3 else known_vals[:, :, None]
+    out = np.empty((nsys, parity, vals.shape[2]), dtype=np.int64)
+    if parity:
+        groups = _row_groups(field, points)
+        maps = groups.map_for(parity, known_pos, unknown_pos)
+        for i in range(parity):
+            acc = None
+            for j in range(nknown):
+                term = field.mul(maps[groups.inverse, i, j][:, None], vals[:, j])
+                acc = term if acc is None else field.add(acc, term)
+            out[:, i] = acc
+    return out if known_vals.ndim == 3 else out[:, :, 0]
 
 
 def grs_erasure_recover(

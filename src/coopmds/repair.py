@@ -17,8 +17,10 @@ s-1 at another failed position, which completes A.
 All of that is index arithmetic against spec.coeff_matrix(): fixed_subset
 codes have one instance, any_subset codes one per assignment of the other
 blocks, and concatenated codes one per assignment of the other components'
-digits as well.  Columns may carry a trailing stripe axis; stripes fold into
-the batched solve, which is how whole-file repair stays fast.
+digits as well.  Columns may carry a trailing stripe axis.  Each cell's
+points are passed once: the round-1 completion map is built once per
+distinct point row and then applied to every cell and stripe that shares it,
+which is how whole-file repair stays fast.
 """
 
 from __future__ import annotations
@@ -356,21 +358,20 @@ def _solve_node(geom: _Geometry, i: int, by_sender: dict[int, np.ndarray], flat:
         pts[:, :, s + len(cross) + idx] = geom.coeff[geom.bases, j - 1][:, None]
 
     width = by_sender[ctx.helpers[0]].shape[1]
-    pts = pts.reshape(geom.quota, npts)
-    if width > 1:
-        pts = np.repeat(pts, width, axis=0)
-    known = np.stack([by_sender[j].reshape(-1) for j in ctx.helpers], axis=1)
-    vals = recover_batched(field, pts, spec.params.r, np.arange(npts - ctx.d, npts), known)
+    known = np.stack([by_sender[j] for j in ctx.helpers], axis=1)
+    vals = recover_batched(
+        field, pts.reshape(geom.quota, npts), spec.params.r, np.arange(npts - ctx.d, npts), known
+    )
 
     l = spec.params.l
     column = np.zeros((l, width), dtype=np.int64)
     filled = np.zeros(l, dtype=bool)
     rows = geom.cell_rows(i)
-    column[rows] = np.moveaxis(vals[:, :s].reshape(geom.ninst, geom.ncls, width, s), 3, 2)
+    column[rows] = vals[:, :s].reshape(geom.ninst, geom.ncls, s, width)
     filled[rows.ravel()] = True
     tags = geom.tag_array(i)
     outgoing = tuple(
-        RepairMessage(2, i, ip, _payload_out(vals[:, s + idx].reshape(geom.quota, width), flat), tags)
+        RepairMessage(2, i, ip, _payload_out(vals[:, s + idx], flat), tags)
         for idx, ip in enumerate(cross)
     )
     return Round1State(i, column.reshape(l) if flat and width == 1 else column, filled, outgoing)

@@ -185,6 +185,36 @@ def test_decode_rejects_corrupt_shard(tmp_path):
     assert main(["decode", str(outdir), str(tmp_path / "x.bin")]) == EXIT_VERIFY
 
 
+def _relabel(path, node):
+    header, off = ShardHeader.parse(path.read_bytes())
+    relabelled = ShardHeader(header.spec, node, header.stripes, header.orig_len, header.checksum)
+    path.write_bytes(relabelled.to_bytes() + path.read_bytes()[off:])
+
+
+def test_decode_rejects_two_shards_claiming_one_node(tmp_path):
+    _, outdir, _ = encode_default(tmp_path)
+    (outdir / "shard_001.cmds").unlink()
+    (outdir / "shard_002.cmds").unlink()
+    _relabel(outdir / "shard_004.cmds", 3)
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+
+
+def test_decode_rejects_shard_renamed_to_another_node(tmp_path):
+    _, outdir, _ = encode_default(tmp_path)
+    (outdir / "shard_001.cmds").unlink()
+    (outdir / "shard_004.cmds").rename(outdir / "shard_001.cmds")
+    assert main(["decode", str(outdir), str(tmp_path / "x.bin")]) == EXIT_VERIFY
+
+
+def test_decode_rejects_node_outside_the_code(tmp_path):
+    _, outdir, _ = encode_default(tmp_path)
+    (outdir / "shard_001.cmds").rename(outdir / "shard_000.cmds")
+    _relabel(outdir / "shard_000.cmds", 0)
+    assert main(["decode", str(outdir), str(tmp_path / "x.bin")]) == EXIT_VERIFY
+
+
 # ---- verify -----------------------------------------------------------------
 
 
@@ -245,6 +275,74 @@ def test_wide_field_round_trip(tmp_path, capsys):
     dest = tmp_path / "back.bin"
     assert main(["decode", str(outdir), str(dest)]) == EXIT_OK
     assert dest.read_bytes() == src.read_bytes()
+
+
+# ---- golden outputs ---------------------------------------------------------
+
+# SHA-256 of every shard encode writes for write_input(size=1024, seed=1234),
+# and the repair report for the listed failure; any change to the arithmetic
+# or the shard layout shows up here.
+GOLDEN = {
+    ("fixed_subset", 5, 2, 2, 3, 256, "1,2", "3,4,5"): (
+        {
+            "shard_001.cmds": "79778ec1026861209d2b7b90878dde826557bfb82fb7ea87e15432f505c1209c",
+            "shard_002.cmds": "691151c2c3fb75959ccadee3779122e849d59cace47b8e3a2e3f48ec2b5fe0c9",
+            "shard_003.cmds": "ec9608f5bc6cd7c0a0d4a5d68c5addb727d8e3526c50063f6b4133725922a32d",
+            "shard_004.cmds": "b6be10db7d7b410ca359f7731f5e1df1a9755a390eb0813eb0d9a838fdeea073",
+            "shard_005.cmds": "c43ba6d4e5620505354098212f1dd1a3fd5461633725e961b6e95943d5cd27a3",
+        },
+        b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":171,"2->1":171,'
+        b'"3->1":171,"3->2":171,"4->1":171,"4->2":171,"5->1":171,"5->2":171},'
+        b'"mode":"cooperative","optimal":true,"per_stripe":8,'
+        b'"restored":["shard_001.cmds","shard_002.cmds"],"rounds":{"1":1026,"2":342},'
+        b'"stripes":171,"total":1368}\n',
+    ),
+    ("fixed_subset", 5, 2, 2, 3, 65536, "1,2", "3,4,5"): (
+        {
+            "shard_001.cmds": "d5ee2ee469a5f38e32a60cd85f30c4f9f619b4d5bfa604011aa3d9b258c755b1",
+            "shard_002.cmds": "8b103edaa6d2d1f59933621cbd0442e855c8842cb86b793d9793bec7834511bc",
+            "shard_003.cmds": "4e9e575434a8a30c4bdcf279b4f2309d1e7e4efc9739f6081a0a25c21f48f4f2",
+            "shard_004.cmds": "615170127896241e3ee214eb6be8b274224102a7153068282d66e029a724bd79",
+            "shard_005.cmds": "d3e4fec004397955c56328503375b84a335c26f59af6941ed2572a2c291f7841",
+        },
+        b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":86,"2->1":86,'
+        b'"3->1":86,"3->2":86,"4->1":86,"4->2":86,"5->1":86,"5->2":86},'
+        b'"mode":"cooperative","optimal":true,"per_stripe":8,'
+        b'"restored":["shard_001.cmds","shard_002.cmds"],"rounds":{"1":516,"2":172},'
+        b'"stripes":86,"total":688}\n',
+    ),
+    ("any_subset", 4, 1, 2, 2, 256, "1,3", "2,4"): (
+        {
+            "shard_001.cmds": "7023ccf6e773b8360548a6b79ad5f5c2fe3fe1552da94c08d393999152886d41",
+            "shard_002.cmds": "0bac0a2932724f4339bbdde61a6e76bd2dd861a4633ebed0b7fe421910967033",
+            "shard_003.cmds": "a875f9a6397fb1cdc43262923e533e4a38232ecb42f579670bbc8b7d963e2bab",
+            "shard_004.cmds": "f6a8e167ba726836ccda3c8f553889e053e0133014fecb15bb58d43b87bac288",
+        },
+        b'{"bounds":{"centralized":972,"cooperative":1458},"links":{"1->3":486,'
+        b'"2->1":486,"2->3":486,"3->1":486,"4->1":486,"4->3":486},'
+        b'"mode":"cooperative","optimal":true,"per_stripe":1458,'
+        b'"restored":["shard_001.cmds","shard_003.cmds"],"rounds":{"1":1944,"2":972},'
+        b'"stripes":2,"total":2916}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"{c[0]}-{c[5]}")
+def test_encode_and_repair_outputs_are_golden(tmp_path, case):
+    family, n, k, h, d, field, fail, helpers = case
+    shards, report = GOLDEN[case]
+    src = write_input(tmp_path)
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--family", family]
+    argv += ["--n", str(n), "--k", str(k), "--h", str(h), "--d", str(d), "--field", str(field)]
+    assert main(argv) == EXIT_OK
+    assert shard_hashes(outdir) == shards
+    for node in _int_list(fail):
+        (outdir / f"shard_{node:03d}.cmds").unlink()
+    out = tmp_path / "repair.json"
+    assert main(["repair", str(outdir), "--fail", fail, "--helpers", helpers, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == report
+    assert shard_hashes(outdir) == shards
 
 
 # ---- bound ------------------------------------------------------------------

@@ -78,6 +78,15 @@ def test_binary_tables_match_carryless_reference(w):
         assert f.mul(int(a), int(b)) == _clmul_reduce(int(a), int(b), poly, w)
 
 
+def test_gf256_product_table_matches_carryless_reference_on_all_pairs():
+    f = make_field("binary", 8)
+    a, b = np.divmod(np.arange(1 << 16, dtype=np.int64), 256)
+    expect = [_clmul_reduce(int(x), int(y), _REDUCTION_POLY[8], 8) for x, y in zip(a, b)]
+    got = f.mul(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == expect
+
+
 @pytest.mark.parametrize("w", sorted(_REDUCTION_POLY))
 def test_binary_exp_table_covers_all_nonzero(w):
     # a generator of full multiplicative order exists iff the reduction

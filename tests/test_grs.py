@@ -136,3 +136,53 @@ def test_solve_batched_leaves_inputs_untouched():
     mats_copy, rhs_copy = mats.copy(), rhs.copy()
     solve_batched(f, mats, rhs)
     assert np.array_equal(mats, mats_copy) and np.array_equal(rhs, rhs_copy)
+
+
+def _eliminate_each(f, points, parity, known_pos, vals):
+    """Complete every (system, stripe) with its own Vandermonde elimination."""
+    nsys, npts = points.shape
+    unknown = [p for p in range(npts) if p not in known_pos]
+    stripes = vals.reshape(nsys, len(known_pos), -1).transpose(0, 2, 1)
+    nstripes = stripes.shape[1]
+    mats = np.empty((nsys, nstripes, parity, parity), dtype=np.int64)
+    rhs = np.empty((nsys, nstripes, parity), dtype=np.int64)
+    for t in range(parity):
+        pw = f.pow(points, t)
+        mats[:, :, t, :] = pw[:, None, unknown]
+        rhs[:, :, t] = f.neg(f.sum(f.mul(pw[:, None, known_pos], stripes), axis=2))
+    sol = solve_batched(f, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))
+    return sol.reshape(nsys, nstripes, parity).transpose(0, 2, 1).reshape(
+        (nsys, parity) + vals.shape[2:]
+    )
+
+
+@pytest.mark.parametrize("spec", [("prime", 13), ("binary", 8), ("binary", 16)])
+@pytest.mark.parametrize("stripes", [None, 1, 6])
+def test_recover_batched_matches_per_system_elimination(spec, stripes):
+    f = make_field(*spec)
+    rng = np.random.default_rng(f.order + (stripes or 0))
+    npts, parity = 6, 3
+    distinct = np.stack([rng.choice(f.order, size=npts, replace=False) for _ in range(4)])
+    points = distinct[rng.integers(0, len(distinct), size=30)]
+    frozen = points.copy()
+    frozen.setflags(write=False)
+    for known_pos in ([0, 1, 2], [1, 3, 5], [2, 4, 5]):
+        shape = (len(points), len(known_pos)) + ((stripes,) if stripes else ())
+        vals = rng.integers(0, f.order, size=shape)
+        expect = _eliminate_each(f, points, parity, known_pos, vals)
+        assert np.array_equal(recover_batched(f, points, parity, known_pos, vals), expect)
+        for _ in range(2):  # the second call reuses the cached grouping and map
+            assert np.array_equal(recover_batched(f, frozen, parity, known_pos, vals), expect)
+        for b in (0, 17):
+            col = vals[b].reshape(len(known_pos), -1)
+            for s in range(col.shape[1]):
+                known = {p: int(v) for p, v in zip(known_pos, col[:, s])}
+                word = grs_erasure_recover(f, points[b].tolist(), parity, known)
+                got = expect[b].reshape(parity, -1)[:, s]
+                assert [word[p] for p in range(npts) if p not in known_pos] == got.tolist()
+
+
+def test_recover_batched_rejects_points_outside_the_field():
+    f = make_field("prime", 7)
+    with pytest.raises(ValueError):
+        recover_batched(f, np.array([[1, 2, 9]]), 1, [0, 1], np.array([[1, 1]]))

@@ -8,7 +8,14 @@ sharding CLI.
 """
 
 from coopmds.cluster import ClusterConfig, SimulationReport, TrafficMeter, inject_and_sweep, run_scenario
-from coopmds.codec import CodewordArray, VerifyResult, decode_from_columns, encode_systematic, verify_parity
+from coopmds.codec import (
+    CodewordArray,
+    VerifyResult,
+    decode_from_columns,
+    encode_systematic,
+    parity_witness,
+    verify_parity,
+)
 from coopmds.codespec import (
     CodeParams,
     CodeSpec,
@@ -71,6 +78,7 @@ __all__ = [
     "make_code",
     "make_field",
     "min_field_order",
+    "parity_witness",
     "recover_batched",
     "repair_columns",
     "round1_helper_payload",

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from coopmds.cluster import ClusterConfig, inject_and_sweep, run_scenario
+from coopmds.codec import parity_witness
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, make_code, min_field_order
 from coopmds.field import FieldSpec, make_field, smallest_field_spec
 from coopmds.grs import recover_batched
@@ -218,11 +219,15 @@ def _read_shard(path: Path) -> tuple[ShardHeader, bytes]:
 
 def _shard_column(header: ShardHeader, payload: bytes) -> np.ndarray:
     l = header.spec.params.l
-    symbols = _bytes_to_symbols(payload, header.spec.field.order)
+    order = header.spec.field.order
+    symbols = _bytes_to_symbols(payload, order)
     if symbols.size != header.stripes * l:
         raise ShardFormatError(
             f"payload holds {symbols.size} symbols, header promises {header.stripes * l}"
         )
+    # only a field smaller than the symbol width can receive a stray value
+    if order < 1 << (8 * _symbol_width(order)) and symbols.size and int(symbols.max()) >= order:
+        raise ShardFormatError(f"symbol {int(symbols.max())} is outside GF({order})")
     return np.ascontiguousarray(symbols.reshape(header.stripes, l).T)
 
 
@@ -336,38 +341,26 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
 # ---- verify ------------------------------------------------------------------
 
 
-def _parity_ok_batched(spec: CodeSpec, cells: np.ndarray) -> "tuple[bool, int, int]":
-    """Check all parities over cells of shape (l, n, stripes)."""
-    field = spec.field
-    coeff = spec.coeff_matrix()
-    pw = np.ones_like(coeff)
-    for t in range(spec.params.r):
-        checks = field.sum(field.mul(pw[:, :, None], cells), axis=1)
-        bad = np.nonzero(checks)
-        if bad[0].size:
-            return False, t, int(bad[0][0])
-        if t + 1 < spec.params.r:
-            pw = field.mul(pw, coeff)
-    return True, -1, -1
-
-
 def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
     paths = sorted(shard_dir.glob("shard_*.cmds"))
     if not paths:
         raise FileNotFoundError(f"no shards found in {shard_dir}")
     shard_reports = []
-    parsed: dict[int, tuple[ShardHeader, bytes]] = {}
+    columns: dict[int, np.ndarray] = {}
     reference: "ShardHeader | None" = None
     ok = True
     for path in paths:
         try:
             header, payload = _read_shard(path)
+            if path.name != _shard_name(header.node):
+                raise ShardFormatError(f"claims node {header.node}")
+            if not 1 <= header.node <= header.spec.params.n:
+                raise ShardFormatError(f"claims node {header.node} outside the code")
+            if zlib.crc32(payload) != header.checksum:
+                raise ShardFormatError("checksum mismatch")
+            column = _shard_column(header, payload)
         except ShardFormatError as exc:
             shard_reports.append({"shard": path.name, "ok": False, "error": str(exc)})
-            ok = False
-            continue
-        if zlib.crc32(payload) != header.checksum:
-            shard_reports.append({"shard": path.name, "ok": False, "error": "checksum mismatch"})
             ok = False
             continue
         if reference is None:
@@ -383,22 +376,23 @@ def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
             ok = False
             continue
         shard_reports.append({"shard": path.name, "ok": True})
-        parsed[header.node] = (header, payload)
+        columns[header.node] = column
 
     report: dict = {"shards": shard_reports}
     if reference is not None:
         n = reference.spec.params.n
-        missing = sorted(set(range(1, n + 1)) - set(parsed))
+        missing = sorted(set(range(1, n + 1)) - set(columns))
         report["missing"] = missing
         if missing:
             ok = False
         elif ok:
-            cells = np.stack(
-                [_shard_column(*parsed[node]) for node in range(1, n + 1)], axis=1
-            )
-            good, t, row = _parity_ok_batched(reference.spec, cells)
-            report["parity"] = {"ok": good} if good else {"ok": False, "check": t, "row": row}
-            ok = good
+            cells = np.stack([columns[node] for node in range(1, n + 1)], axis=1)
+            witness = parity_witness(reference.spec, cells)
+            if witness is None:
+                report["parity"] = {"ok": True}
+            else:
+                report["parity"] = {"ok": False, "check": witness[0], "row": witness[1]}
+                ok = False
     report["ok"] = ok
     _emit(report, out)
     return EXIT_OK if ok else EXIT_VERIFY

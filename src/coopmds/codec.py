@@ -6,7 +6,10 @@ codeword is a dual-Vandermonde codeword on the points coeff_matrix()[a] with
 r parity equations.  Encoding and decoding are therefore one batched
 completion call each: the completion map is built once per distinct row of
 coeff_matrix() and erasure pattern, then applied to every row that shares
-it.  Verification is a powered row-sum sweep.
+it.  Verification re-encodes: a row is a codeword exactly when its parity
+columns equal the completion of its data columns through the same cached map.
+Only rows that differ go through the powered parity sweep, which names the
+first failing check.
 """
 
 from __future__ import annotations
@@ -105,17 +108,38 @@ def decode_from_columns(spec: CodeSpec, available: Mapping[int, np.ndarray]) -> 
     return CodewordArray(spec, cells)
 
 
-def verify_parity(codeword: CodewordArray) -> VerifyResult:
-    """Evaluate all r*l parity checks; report the first nonzero one."""
-    spec = codeword.spec
+def parity_witness(spec: CodeSpec, cells: np.ndarray) -> "tuple[int, int] | None":
+    """The first failing parity check (t, row) in (t, row) lexicographic
+    order over cells of shape (l, n) or (l, n, stripes), or None when every
+    row is a codeword.
+
+    The parity columns are recomputed from the data columns with the cached
+    encode map and compared.  A row whose stored parity equals its completion
+    satisfies all r checks, so only the differing rows are swept with the
+    powered checks sum_j coeff[row, j]^t c_j to find the witness.
+    """
+    p = spec.params
     field = spec.field
     coeff = spec.coeff_matrix()
-    pw = np.ones_like(coeff)
-    for t in range(spec.params.r):
-        checks = field.sum(field.mul(pw, codeword.cells), axis=1)
-        bad = np.nonzero(checks)[0]
-        if len(bad):
-            return VerifyResult(False, t, int(bad[0]))
-        if t + 1 < spec.params.r:
-            pw = field.mul(pw, coeff)
-    return VerifyResult(True)
+    cells = np.asarray(cells, dtype=np.int64)
+    parity = recover_batched(field, coeff, p.r, np.arange(p.k), cells[:, : p.k])
+    differs = (parity != cells[:, p.k :]).reshape(p.l, -1).any(axis=1)
+    bad = np.flatnonzero(differs)
+    if not bad.size:
+        return None
+    sub, points = cells[bad].reshape(len(bad), p.n, -1), coeff[bad]
+    pw = np.ones_like(points)
+    for t in range(p.r):
+        checks = field.sum(field.mul(pw[:, :, None], sub), axis=1)
+        failing = np.flatnonzero(checks.any(axis=1))
+        if failing.size:
+            return t, int(bad[failing[0]])
+        pw = field.mul(pw, points)
+    raise AssertionError("a row differs from its completion but passes every check")
+
+
+def verify_parity(codeword: CodewordArray) -> VerifyResult:
+    """Check every row of the array against all r parity equations; report
+    the first failing (t, row), as parity_witness does."""
+    witness = parity_witness(codeword.spec, codeword.cells)
+    return VerifyResult(True) if witness is None else VerifyResult(False, *witness)

@@ -116,6 +116,11 @@ class Field:
     All methods are polymorphic in int vs. numpy array operands. Division and
     inversion raise ZeroDivisionError on zero; ``pow`` follows the convention
     0^0 = 1 so the t=0 parity row is all ones even when a coefficient is 0.
+
+    Array products are table lookups with no branches or masks: a full
+    product table for fields of order <= 256, and for larger binary fields
+    log/exp tables whose sentinel log of zero indexes a zero tail of exp (see
+    ``_build_log_tables``).  Both are built once, at construction.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -136,31 +141,72 @@ class Field:
             self._build_product_table()
 
     def _build_log_tables(self) -> None:
+        """Log/exp tables over the first generator in ascending order.
+
+        ``_log`` is int32 with the sentinel ``_log[0] = 2(q-1)``; ``_exp``
+        holds g^i for i < 2(q-1) and zeros from index 2(q-1) through 4(q-1).
+        A sum of two logs of nonzero elements stays below 2(q-1), and any sum
+        with a zero operand lands in the zero tail, so ``_exp[_log[a] +
+        _log[b]]`` is the product with no masks.
+        """
         q = self.order
-        if q == 2:
-            self.generator = 1
-            self._exp = np.array([1, 1], dtype=np.int64)
-            self._log = np.array([-1, 0], dtype=np.int64)
-            return
-        for g in range(2, q):
-            exp = np.zeros(2 * (q - 1), dtype=np.int64)
-            log = np.full(q, -1, dtype=np.int64)
-            v = 1
-            ok = True
-            for i in range(q - 1):
-                if log[v] != -1:
-                    ok = False  # period of g divides i < q-1
-                    break
-                exp[i] = v
-                log[v] = i
-                v = _clmul_reduce(v, g, self._poly, self._w)
-            if ok and v == 1:
-                exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
-                self.generator = g
-                self._exp = exp
-                self._log = log
-                return
-        raise ValueError(f"no generator found for GF(2^{self._w})")
+        q1 = q - 1
+        candidates = range(2, q) if q > 2 else (1,)
+        self.generator = next((g for g in candidates if self._has_full_order(g)), None)
+        if self.generator is None:
+            raise ValueError(f"no generator found for GF(2^{self._w})")
+        exp = np.zeros(4 * q1 + 1, dtype=np.int64)
+        exp[0] = 1
+        # doubling: with g^0..g^(n-1) known, g^n..g^(2n-1) are those times g^n
+        n = 1
+        while n < q1:
+            m = min(n, q1 - n)
+            exp[n : n + m] = self._clmul_const(exp[:m], self._scalar_pow(self.generator, n))
+            n += m
+        exp[q1 : 2 * q1] = exp[:q1]
+        log = np.empty(q, dtype=np.int32)
+        log[exp[:q1]] = np.arange(q1, dtype=np.int32)
+        log[0] = 2 * q1
+        self._exp = exp
+        self._log = log
+
+    def _scalar_pow(self, a: int, t: int) -> int:
+        result = 1
+        while t:
+            if t & 1:
+                result = _clmul_reduce(result, a, self._poly, self._w)
+            a = _clmul_reduce(a, a, self._poly, self._w)
+            t >>= 1
+        return result
+
+    def _has_full_order(self, g: int) -> bool:
+        """g^(q-1) = 1 and g^((q-1)/p) != 1 for every prime p dividing q-1,
+        i.e. g^0..g^(q-2) are distinct."""
+        q1 = self.order - 1
+        factors, rest, p = set(), q1, 2
+        while p * p <= rest:
+            while rest % p == 0:
+                factors.add(p)
+                rest //= p
+            p += 1
+        if rest > 1:
+            factors.add(rest)
+        return self._scalar_pow(g, q1) == 1 and all(
+            self._scalar_pow(g, q1 // p) != 1 for p in factors
+        )
+
+    def _clmul_const(self, a: np.ndarray, c: int) -> np.ndarray:
+        """Elementwise product of an array with the constant c, by
+        shift-and-add over the bits of c."""
+        acc = np.zeros_like(a)
+        high = 1 << self._w
+        while c:
+            if c & 1:
+                acc ^= a
+            c >>= 1
+            a = a << 1
+            a ^= np.where(a & high, self._poly, 0)
+        return acc
 
     def _build_product_table(self) -> None:
         """Full product table for array multiplies in fields of order <= 256,
@@ -194,22 +240,16 @@ class Field:
         return a
 
     def mul(self, a, b):
+        """Product; arrays broadcast and come back as int64."""
         if self._product is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
             a = np.asarray(a, dtype=np.int64)
             b = np.asarray(b, dtype=np.int64)
             return self._product[(a << self._product_shift) | b].astype(np.int64)
         if self.spec.kind == "prime":
             return (a * b) % self._p
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            nz = (a != 0) & (b != 0)
-            # index 0 is harmless for masked-out lanes
-            out = self._exp[self._log[np.where(nz, a, 1)] + self._log[np.where(nz, b, 1)]]
-            return np.where(nz, out, 0)
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        # zero operands hit the sentinel log and land in exp's zero tail
+        out = self._exp[self._log[a] + self._log[b]]
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def inv(self, a):
         if isinstance(a, np.ndarray):

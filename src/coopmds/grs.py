@@ -12,7 +12,8 @@ Gaussian elimination over a numpy stack of systems; r stays single-digit at
 all supported scales) and applies it as a multiply-accumulate to every system
 and stripe that shares the row.  Row grouping and maps are cached for
 read-only point arrays such as ``CodeSpec.coeff_matrix()``, so a code pays
-for them once per erasure pattern rather than once per call or stripe.
+for them once per erasure pattern rather than once per call or stripe; the
+same per-array cache holds repair's round-1 groupings.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def solve_vandermonde(field: Field, points: Sequence[int], rhs: Sequence[int]) -
 
 class _RowGroups:
     """The distinct rows of a points matrix, the inverse index mapping every
-    system to its row, and the completion maps built so far per erasure
-    pattern."""
+    system to its row (in the narrowest unsigned dtype that holds it), and
+    the completion maps built so far per erasure pattern."""
 
     def __init__(self, field: Field, points: np.ndarray):
         nsys, npts = points.shape
@@ -117,7 +118,7 @@ class _RowGroups:
                 keys, self.rows[:, col] = np.divmod(keys, q)
         else:
             self.rows, inverse = np.unique(points, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(nsys)
+        self.inverse = inverse.reshape(nsys).astype(np.min_scalar_type(max(len(self.rows) - 1, 0)))
         self.maps: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> np.ndarray:
@@ -138,27 +139,69 @@ class _RowGroups:
             self.maps.setdefault(key, sol.reshape(nrows, nknown, parity).transpose(0, 2, 1))
         return self.maps[key]
 
+    def complete(self, parity: int, known_pos: Sequence[int], known_vals: np.ndarray) -> np.ndarray:
+        """recover_batched on the grouped points matrix."""
+        nsys, npts = len(self.inverse), self.rows.shape[1]
+        known_pos = np.asarray(known_pos, dtype=np.int64)
+        nknown = npts - parity
+        if len(known_pos) != nknown:
+            raise ValueError(f"expected {nknown} known coordinates, got {len(known_pos)}")
+        if nknown < 1:
+            raise ValueError("at least one coordinate must be known")
+        unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
+        if len(unknown_pos) != parity:
+            raise ValueError("known positions out of range or repeated")
+        known_vals = np.asarray(known_vals, dtype=np.int64)
+        if known_vals.ndim not in (2, 3) or known_vals.shape[:2] != (nsys, nknown):
+            raise ValueError(f"known_vals must have shape ({nsys}, {nknown}[, stripes])")
+        vals = known_vals if known_vals.ndim == 3 else known_vals[:, :, None]
+        # unknown-major, so each coordinate is written contiguously
+        out = np.empty((parity, nsys, vals.shape[2]), dtype=np.int64)
+        if parity:
+            field = self.field
+            maps = self.map_for(parity, known_pos, unknown_pos)
+            # widened once: a 1-D gather with a native index is the fast one
+            inverse = self.inverse.astype(np.intp)
+            for i in range(parity):
+                acc = None
+                for j in range(nknown):
+                    coef = np.ascontiguousarray(maps[:, i, j])[inverse]
+                    term = field.mul(coef[:, None], vals[:, j])
+                    acc = term if acc is None else field.add(acc, term)
+                out[i] = acc
+        out = out.transpose(1, 0, 2)
+        return out if known_vals.ndim == 3 else out[:, :, 0]
 
-# Groupings of read-only point arrays, by id() of the array; an entry is
-# dropped when its array is freed, so an id is never looked up stale.
-_GROUPS: dict[int, _RowGroups] = {}
-_GROUPS_LOCK = threading.Lock()
+
+# Values derived from read-only arrays, by id() of the array and then by a
+# caller's key; an array's entries are dropped when it is freed, so an id is
+# never looked up stale.
+_DERIVED: dict[int, dict] = {}
+_DERIVED_LOCK = threading.Lock()
+
+
+def _derived(array: np.ndarray, key, build):
+    """build(), computed once per key for as long as the read-only array
+    (which must own its data, so its contents cannot change) lives."""
+    with _DERIVED_LOCK:
+        entries = _DERIVED.get(id(array))
+        if entries is None:
+            entries = _DERIVED[id(array)] = {}
+            weakref.finalize(array, _DERIVED.pop, id(array), None)
+        value = entries.get(key)
+    if value is None:
+        value = build()
+        with _DERIVED_LOCK:
+            value = entries.setdefault(key, value)
+    return value
 
 
 def _row_groups(field: Field, points: np.ndarray) -> _RowGroups:
     """Group the rows of points, reusing the grouping of a read-only array
-    that owns its data (its contents cannot change) for as long as it lives."""
+    that owns its data for as long as it lives."""
     if points.flags.writeable or points.base is not None:
         return _RowGroups(field, points)
-    with _GROUPS_LOCK:
-        groups = _GROUPS.get(id(points))
-    if groups is None or groups.field != field:
-        groups = _RowGroups(field, points)
-        with _GROUPS_LOCK:
-            if id(points) not in _GROUPS:
-                weakref.finalize(points, _GROUPS.pop, id(points), None)
-            _GROUPS[id(points)] = groups
-    return groups
+    return _derived(points, field, lambda: _RowGroups(field, points))
 
 
 def recover_batched(
@@ -178,31 +221,9 @@ def recover_batched(
     position order.
     """
     points = np.asarray(points, dtype=np.int64)
-    nsys, npts = points.shape
-    known_pos = np.asarray(known_pos, dtype=np.int64)
-    nknown = npts - parity
-    if len(known_pos) != nknown:
-        raise ValueError(f"expected {nknown} known coordinates, got {len(known_pos)}")
-    if nknown < 1:
-        raise ValueError("at least one coordinate must be known")
-    unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
-    if len(unknown_pos) != parity:
-        raise ValueError("known positions out of range or repeated")
-    known_vals = np.asarray(known_vals, dtype=np.int64)
-    if known_vals.ndim not in (2, 3) or known_vals.shape[:2] != (nsys, nknown):
-        raise ValueError(f"known_vals must have shape ({nsys}, {nknown}[, stripes])")
-    vals = known_vals if known_vals.ndim == 3 else known_vals[:, :, None]
-    out = np.empty((nsys, parity, vals.shape[2]), dtype=np.int64)
-    if parity:
-        groups = _row_groups(field, points)
-        maps = groups.map_for(parity, known_pos, unknown_pos)
-        for i in range(parity):
-            acc = None
-            for j in range(nknown):
-                term = field.mul(maps[groups.inverse, i, j][:, None], vals[:, j])
-                acc = term if acc is None else field.add(acc, term)
-            out[:, i] = acc
-    return out if known_vals.ndim == 3 else out[:, :, 0]
+    if points.ndim != 2:
+        raise ValueError("points must be a (systems, coordinates) matrix")
+    return _row_groups(field, points).complete(parity, known_pos, known_vals)
 
 
 def grs_erasure_recover(

@@ -20,7 +20,9 @@ blocks, and concatenated codes one per assignment of the other components'
 digits as well.  Columns may carry a trailing stripe axis.  Each cell's
 points are passed once: the round-1 completion map is built once per
 distinct point row and then applied to every cell and stripe that shares it,
-which is how whole-file repair stays fast.
+which is how whole-file repair stays fast.  The grouping of a failed node's
+cell points into distinct rows is kept with the code's coefficient matrix, so
+repeating a repair of the same failed and helper sets skips it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from coopmds.codec import CodewordArray
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, subset_rank
-from coopmds.grs import recover_batched
+from coopmds.grs import _derived, _RowGroups
 
 
 # ---- bounds -----------------------------------------------------------------
@@ -339,13 +341,15 @@ def _index_payloads(
     return by_sender
 
 
-def _solve_node(geom: _Geometry, i: int, by_sender: dict[int, np.ndarray], flat: bool) -> Round1State:
-    spec, field, ctx = geom.spec, geom.spec.field, geom.ctx
-    s = geom.s
+def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
+    """Per-cell points of node i's round-1 systems, shape (quota, r + d):
+    node i's s entries, one per other failed node, one per idle node, then
+    one per helper."""
+    s, ctx = geom.s, geom.ctx
     cross = [ip for ip in ctx.failed if ip != i]
     table = geom.node_table(i)
     npts = s + len(cross) + len(geom.idle) + ctx.d
-    assert npts - ctx.d == spec.params.r
+    assert npts - ctx.d == geom.spec.params.r
 
     pts = np.empty((geom.ninst, geom.ncls, npts), dtype=np.int64)
     cls_base = geom.bases[:, None] + geom.stride * table[None, :, 0]
@@ -356,12 +360,30 @@ def _solve_node(geom: _Geometry, i: int, by_sender: dict[int, np.ndarray], flat:
         pts[:, :, s + idx] = geom.coeff[cls_base, ip - 1]
     for idx, j in enumerate(geom.idle + ctx.helpers):
         pts[:, :, s + len(cross) + idx] = geom.coeff[geom.bases, j - 1][:, None]
+    return pts.reshape(geom.quota, npts)
+
+
+def _round1_groups(geom: _Geometry, i: int) -> _RowGroups:
+    """The grouping of node i's round-1 points, kept with the code's
+    coefficient matrix so that a repeat repair of the same failed and helper
+    sets skips building and grouping the per-cell points."""
+    field, ctx = geom.spec.field, geom.ctx
+    return _derived(
+        geom.coeff,
+        ("round1", ctx.failed, ctx.helpers, i),
+        lambda: _RowGroups(field, _round1_points(geom, i)),
+    )
+
+
+def _solve_node(geom: _Geometry, i: int, by_sender: dict[int, np.ndarray], flat: bool) -> Round1State:
+    spec, ctx = geom.spec, geom.ctx
+    s = geom.s
+    cross = [ip for ip in ctx.failed if ip != i]
+    r = spec.params.r
 
     width = by_sender[ctx.helpers[0]].shape[1]
     known = np.stack([by_sender[j] for j in ctx.helpers], axis=1)
-    vals = recover_batched(
-        field, pts.reshape(geom.quota, npts), spec.params.r, np.arange(npts - ctx.d, npts), known
-    )
+    vals = _round1_groups(geom, i).complete(r, np.arange(r, r + ctx.d), known)
 
     l = spec.params.l
     column = np.zeros((l, width), dtype=np.int64)

@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from coopmds.field import Field
+from coopmds.field import _REDUCTION_POLY, Field, _clmul_reduce
 
 
 def all_vectors(q: int, n: int) -> np.ndarray:
@@ -34,6 +34,48 @@ def dual_vandermonde_codewords(field: Field, points: list[int], parity: int) -> 
         keep &= checks == 0
         pw = field.mul(pw, pts)
     return vecs[keep]
+
+
+def log_exp_tables(w: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(generator, exp, log) for GF(2^w) by stepping through the powers of
+    each candidate generator in ascending order, one element at a time: exp
+    has 2(q-1) entries (g^i, twice over) and log[0] is -1."""
+    q, poly = 1 << w, _REDUCTION_POLY[w]
+    if q == 2:
+        return 1, np.array([1, 1], dtype=np.int64), np.array([-1, 0], dtype=np.int64)
+    for g in range(2, q):
+        exp = np.zeros(2 * (q - 1), dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int64)
+        v = 1
+        for i in range(q - 1):
+            if log[v] != -1:
+                break  # the period of g divides i < q-1
+            exp[i] = v
+            log[v] = i
+            v = _clmul_reduce(v, g, poly, w)
+        else:
+            if v == 1:
+                exp[q - 1 :] = exp[: q - 1]
+                return g, exp, log
+    raise ValueError(f"no generator for GF(2^{w})")
+
+
+def powered_sweep_witness(spec, cells: np.ndarray) -> tuple[bool, "int | None", "int | None"]:
+    """(ok, t, row) of the first nonzero parity check sum_j coeff[row, j]^t
+    cells[row, j] in (t, row) order, evaluating all r checks on every row;
+    cells is (l, n) or (l, n, stripes), and a row fails a check when any
+    stripe does."""
+    field, r = spec.field, spec.params.r
+    coeff = spec.coeff_matrix()
+    cells = np.asarray(cells, dtype=np.int64).reshape(spec.params.l, spec.params.n, -1)
+    pw = np.ones_like(coeff)
+    for t in range(r):
+        checks = field.sum(field.mul(pw[:, :, None], cells), axis=1)
+        bad = np.nonzero(checks)[0]
+        if bad.size:
+            return False, t, int(bad[0])
+        pw = field.mul(pw, coeff)
+    return True, None, None
 
 
 # ---- published mask-rule variants, implemented from their own digit

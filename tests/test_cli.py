@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from coopmds.cli import (
     EXIT_VERIFY,
     ShardFormatError,
     ShardHeader,
+    _bytes_to_symbols,
     _int_list,
+    _symbols_to_bytes,
     main,
 )
 from coopmds.cluster import ClusterConfig
 from coopmds.codespec import make_code
 from coopmds.field import FieldSpec
+from oracles import powered_sweep_witness
 
 
 def write_input(tmp_path, size=1024, seed=1234):
@@ -247,6 +251,98 @@ def test_verify_reports_missing_shard(tmp_path, capsys):
     assert main(["verify", str(outdir)]) == EXIT_VERIFY
     doc = json.loads(capsys.readouterr().out)
     assert doc["missing"] == [2]
+
+
+def test_verify_flags_shard_relabelled_to_another_node(tmp_path, capsys):
+    _, outdir, _ = encode_default(tmp_path)
+    _relabel(outdir / "shard_004.cmds", 3)
+    capsys.readouterr()
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    flagged = [s for s in doc["shards"] if not s["ok"]]
+    assert flagged == [{"shard": "shard_004.cmds", "ok": False, "error": "claims node 3"}]
+    assert doc["missing"] == [4] and doc["ok"] is False
+
+
+def test_verify_flags_node_outside_the_code(tmp_path, capsys):
+    _, outdir, _ = encode_default(tmp_path)
+    (outdir / "shard_005.cmds").rename(outdir / "shard_009.cmds")
+    _relabel(outdir / "shard_009.cmds", 9)
+    capsys.readouterr()
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    flagged = [s for s in doc["shards"] if not s["ok"]]
+    assert flagged == [
+        {"shard": "shard_009.cmds", "ok": False, "error": "claims node 9 outside the code"}
+    ]
+
+
+def _rewrite_payload(path, edit):
+    header, off = ShardHeader.parse(path.read_bytes())
+    payload = bytearray(path.read_bytes()[off:])
+    edit(payload)
+    crc = zlib.crc32(bytes(payload))
+    fresh = ShardHeader(header.spec, header.node, header.stripes, header.orig_len, crc)
+    path.write_bytes(fresh.to_bytes() + bytes(payload))
+
+
+def test_symbols_outside_a_prime_field_are_rejected(tmp_path, capsys):
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(np.random.default_rng(5).integers(0, 13, 600, dtype=np.uint8)))
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    assert main(argv + ["--field", "13"]) == EXIT_OK
+
+    def stray(payload):
+        payload[payload.index(0)] = 14  # a parity 0 that 14 would alias to
+
+    _rewrite_payload(outdir / "shard_004.cmds", stray)
+    capsys.readouterr()
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    flagged = [s for s in doc["shards"] if not s["ok"]]
+    assert flagged == [{"shard": "shard_004.cmds", "ok": False, "error": "symbol 14 is outside GF(13)"}]
+    (outdir / "shard_001.cmds").unlink()
+    (outdir / "shard_002.cmds").unlink()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize("field,family,n,k,h,d", [
+    (256, "fixed_subset", 5, 2, 2, 3),
+    (65536, "fixed_subset", 5, 2, 2, 3),
+    (256, "any_subset", 4, 1, 2, 2),
+])
+@pytest.mark.parametrize("cancel_t0", [False, True])
+def test_verify_report_names_the_oracle_witness(tmp_path, capsys, field, family, n, k, h, d, cancel_t0):
+    src = write_input(tmp_path, size=4096, seed=7)
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--family", family, "--field", str(field)]
+    argv += ["--n", str(n), "--k", str(k), "--h", str(h), "--d", str(d)]
+    assert main(argv) == EXIT_OK
+    headers, columns = {}, {}
+    for node in range(1, n + 1):
+        raw = (outdir / f"shard_{node:03d}.cmds").read_bytes()
+        headers[node], off = ShardHeader.parse(raw)
+        columns[node] = _bytes_to_symbols(raw[off:], field).reshape(headers[node].stripes, -1).T
+    spec = headers[1].spec
+    # edit one symbol in a late stripe, or two in one row that cancel the t=0 check
+    row, stripe = spec.params.l - 1, headers[1].stripes - 2
+    edits = {n - 1: 5, n: spec.field.neg(5)} if cancel_t0 else {n - 1: 1}
+    for node, delta in edits.items():
+        columns[node] = columns[node].copy()
+        columns[node][row, stripe] = spec.field.add(int(columns[node][row, stripe]), delta)
+        payload = _symbols_to_bytes(columns[node].T, field)
+        header = ShardHeader(spec, node, headers[node].stripes, headers[node].orig_len, zlib.crc32(payload))
+        (outdir / f"shard_{node:03d}.cmds").write_bytes(header.to_bytes() + payload)
+    cells = np.stack([columns[node] for node in range(1, n + 1)], axis=1)
+    ok, t, witness_row = powered_sweep_witness(spec, cells)
+    assert not ok and (t > 0) == cancel_t0
+    capsys.readouterr()
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parity"] == {"ok": False, "check": t, "row": witness_row}
 
 
 def test_verify_empty_directory(tmp_path):

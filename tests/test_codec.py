@@ -7,11 +7,17 @@ import itertools
 import numpy as np
 import pytest
 
-from coopmds.codec import CodewordArray, decode_from_columns, encode_systematic, verify_parity
+from coopmds.codec import (
+    CodewordArray,
+    decode_from_columns,
+    encode_systematic,
+    parity_witness,
+    verify_parity,
+)
 from coopmds.codespec import concat, make_code, universal_code
 from coopmds.field import FieldSpec, make_field
 from coopmds.grs import grs_erasure_recover
-from oracles import dual_vandermonde_codewords
+from oracles import dual_vandermonde_codewords, powered_sweep_witness
 
 GF7 = FieldSpec("prime", 7)
 GF11 = FieldSpec("prime", 11)
@@ -199,6 +205,84 @@ def test_verify_row_order_within_t():
     cells[2, 2] = (cells[2, 2] + 3) % 7
     res = verify_parity(CodewordArray(spec, cells))
     assert (res.t, res.row) == (0, 1)
+
+
+GF256 = FieldSpec("binary", 8)
+GF65536 = FieldSpec("binary", 16)
+
+WITNESS_SPECS = [
+    lambda: make_code("fixed_subset", 5, 2, 2, 3, GF13),
+    lambda: make_code("any_subset", 4, 1, 2, 2, GF13),
+    lambda: concat(
+        [make_code("any_subset", 4, 1, 1, 2, GF13), make_code("any_subset", 4, 1, 2, 2, GF13)]
+    ),
+    lambda: make_code("fixed_subset", 5, 2, 2, 3, GF256),
+    lambda: make_code("any_subset", 4, 1, 2, 2, GF256),
+    lambda: make_code("fixed_subset", 5, 2, 2, 3, GF65536),
+    lambda: make_code("any_subset", 4, 1, 2, 2, GF65536),
+]
+
+
+def _edits(spec, rng):
+    """Corruptions as lists of (row, column, delta): one symbol, two symbols
+    in different rows, and two opposite edits in one row that cancel the
+    t=0 check."""
+    l, n, q = spec.params.l, spec.params.n, spec.field.order
+    f = spec.field
+    rows = rng.choice(l, size=2, replace=False)
+    cols = rng.choice(n, size=2, replace=False)
+    delta = int(rng.integers(1, q))
+    return [
+        [(rows[0], cols[0], delta)],
+        [(rows[0], cols[0], delta), (rows[1], cols[1], int(rng.integers(1, q)))],
+        [(rows[0], cols[0], delta), (rows[0], cols[1], f.neg(delta))],
+    ]
+
+
+def _corrupt(spec, cells, edits, stripe=None):
+    cells = cells.copy()
+    for row, col, delta in edits:
+        at = (row, col) if stripe is None else (row, col, stripe)
+        cells[at] = spec.field.add(int(cells[at]), delta)
+    return cells
+
+
+@pytest.mark.parametrize("spec_builder", WITNESS_SPECS)
+def test_verify_matches_powered_sweep_oracle(spec_builder):
+    spec = spec_builder()
+    cw = random_codeword(spec, seed=21)
+    assert powered_sweep_witness(spec, cw.cells) == (True, None, None)
+    rng = np.random.default_rng(22)
+    for _ in range(3):
+        for edits in _edits(spec, rng):
+            cells = _corrupt(spec, cw.cells, edits)
+            res = verify_parity(CodewordArray(spec, cells))
+            expect = powered_sweep_witness(spec, cells)
+            assert expect[0] is False
+            assert (res.ok, res.t, res.row) == expect
+
+
+@pytest.mark.parametrize("spec_builder", WITNESS_SPECS)
+def test_parity_witness_over_stripes_matches_oracle(spec_builder):
+    spec = spec_builder()
+    stripes = 4
+    cells = np.stack([random_codeword(spec, seed=30 + s).cells for s in range(stripes)], axis=2)
+    assert parity_witness(spec, cells) is None
+    rng = np.random.default_rng(23)
+    for edits in _edits(spec, rng):
+        bad = _corrupt(spec, cells, edits, stripe=int(rng.integers(stripes)))
+        ok, t, row = powered_sweep_witness(spec, bad)
+        assert not ok
+        assert parity_witness(spec, bad) == (t, row)
+
+
+def test_verify_cancelled_t0_edit_matches_oracle():
+    spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
+    cells = random_codeword(spec, seed=9).cells.copy()
+    cells[1, 3] = (cells[1, 3] + 1) % 7
+    cells[1, 4] = (cells[1, 4] - 1) % 7
+    res = verify_parity(CodewordArray(spec, cells))
+    assert (res.ok, res.t, res.row) == powered_sweep_witness(spec, cells) == (False, 1, 1)
 
 
 # ---- container --------------------------------------------------------------

@@ -15,6 +15,7 @@ from coopmds.field import (
     make_field,
     smallest_field_spec,
 )
+from oracles import log_exp_tables
 
 SMALL_FIELDS = [
     FieldSpec("prime", 2),
@@ -85,6 +86,43 @@ def test_gf256_product_table_matches_carryless_reference_on_all_pairs():
     got = f.mul(a, b)
     assert got.dtype == np.int64
     assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("w", range(9, 17))
+def test_wide_binary_array_mul_matches_carryless_reference(w):
+    f = make_field("binary", w)
+    q, poly = f.order, _REDUCTION_POLY[w]
+    rng = np.random.default_rng(100 + w)
+    a = rng.integers(0, q, size=3000)
+    b = rng.integers(0, q, size=3000)
+    a[:40] = 0  # zero on the left, then on the right, then both
+    b[20:60] = 0
+    got = f.mul(a, b)
+    assert got.dtype == np.int64
+    assert got.tolist() == [_clmul_reduce(int(x), int(y), poly, w) for x, y in zip(a, b)]
+    # a per-row coefficient against a row of stripes, as the codec multiplies
+    coef = rng.integers(0, q, size=(6, 1))
+    coef[0, 0] = 0
+    stripes = rng.integers(0, q, size=(6, 50))
+    stripes[1, :5] = 0
+    got = f.mul(coef, stripes)
+    assert got.shape == (6, 50) and got.dtype == np.int64
+    expect = [[_clmul_reduce(int(c[0]), int(x), poly, w) for x in row] for c, row in zip(coef, stripes)]
+    assert got.tolist() == expect
+
+
+@pytest.mark.parametrize("w", range(2, 17))
+def test_log_exp_tables_match_the_stepwise_build(w):
+    f = make_field("binary", w)
+    q = f.order
+    generator, exp, log = log_exp_tables(w)
+    assert f.generator == generator
+    assert f._exp.dtype == np.int64 and f._exp.shape == (4 * (q - 1) + 1,)
+    assert np.array_equal(f._exp[: 2 * (q - 1)], exp)
+    assert not f._exp[2 * (q - 1) :].any()
+    assert f._log.dtype == np.int32
+    assert np.array_equal(f._log[1:], log[1:])
+    assert f._log[0] == 2 * (q - 1)
 
 
 @pytest.mark.parametrize("w", sorted(_REDUCTION_POLY))

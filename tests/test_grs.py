@@ -9,6 +9,7 @@ import pytest
 
 from coopmds.field import make_field
 from coopmds.grs import (
+    _RowGroups,
     grs_erasure_recover,
     recover_batched,
     solve_batched,
@@ -186,3 +187,14 @@ def test_recover_batched_rejects_points_outside_the_field():
     f = make_field("prime", 7)
     with pytest.raises(ValueError):
         recover_batched(f, np.array([[1, 2, 9]]), 1, [0, 1], np.array([[1, 1]]))
+
+
+def test_row_grouping_keeps_the_inverse_index_narrow():
+    f = make_field("prime", 13)
+    rng = np.random.default_rng(4)
+    rows = np.stack([rng.choice(13, size=4, replace=False) for _ in range(300)])
+    for nrows, dtype in ((200, np.uint8), (300, np.uint16)):
+        points = rows[:nrows][rng.integers(0, nrows, size=5000)]
+        groups = _RowGroups(f, points)
+        assert groups.inverse.dtype == dtype
+        assert np.array_equal(groups.rows[groups.inverse], points)

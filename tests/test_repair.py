@@ -414,3 +414,62 @@ def test_repair_columns_validates_helpers():
         repair_columns(spec, ctx, {j: cw.column(j) for j in (3, 4)})
     with pytest.raises(ValueError):
         repair_columns(spec, ctx, {j: cw.column(j) for j in (2, 3, 4)})
+
+
+def test_repeat_repair_reuses_the_round1_grouping(monkeypatch):
+    import coopmds.repair as repair_module
+
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    cw = random_codeword(spec, seed=41)
+    ctx = RepairContext((1, 3), (2, 4))
+    helpers = {j: cw.column(j) for j in ctx.helpers}
+    first, transcript = repair_columns(spec, ctx, helpers)
+
+    def rebuilt(*args):
+        raise AssertionError("round-1 points rebuilt for a repeat repair")
+
+    monkeypatch.setattr(repair_module, "_round1_points", rebuilt)
+    again, again_transcript = repair_columns(spec, ctx, helpers)
+    for i in ctx.failed:
+        assert np.array_equal(first[i], cw.column(i))
+        assert np.array_equal(again[i], first[i])
+    assert again_transcript.ledger == transcript.ledger
+    # another failed/helper pattern of the same code builds its own grouping
+    with pytest.raises(AssertionError, match="rebuilt"):
+        repair_columns(spec, RepairContext((1, 2), (3, 4)), {3: cw.column(3), 4: cw.column(4)})
+
+
+def test_concurrent_repairs_share_one_round1_grouping():
+    import sys
+    import threading
+
+    from coopmds.repair import _Geometry, _round1_groups
+
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    cw = random_codeword(spec, seed=43)
+    ctx = RepairContext((1, 3), (2, 4))
+    helpers = {j: cw.column(j) for j in ctx.helpers}
+    seen, errors = [], []
+
+    def work():
+        try:
+            seen.append(_round1_groups(_Geometry(spec, ctx), 1))
+            restored, _ = repair_columns(spec, ctx, helpers)
+            if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
+                errors.append("wrong column")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(seen) == 8 and all(g is seen[0] for g in seen)

@@ -27,11 +27,10 @@ from coopmds.codespec import (
     make_code,
     min_field_order,
     subset_rank,
-    subset_unrank,
     universal_code,
 )
 from coopmds.field import Field, FieldSpec, enumerate_elements, make_field, smallest_field_spec
-from coopmds.grs import grs_erasure_recover, recover_batched, solve_batched, vandermonde_matrix
+from coopmds.grs import recover_batched, solve_batched
 from coopmds.repair import (
     BandwidthLedger,
     RepairContext,
@@ -73,7 +72,6 @@ __all__ = [
     "decode_from_columns",
     "encode_systematic",
     "enumerate_elements",
-    "grs_erasure_recover",
     "inject_and_sweep",
     "make_code",
     "make_field",
@@ -88,9 +86,7 @@ __all__ = [
     "smallest_field_spec",
     "solve_batched",
     "subset_rank",
-    "subset_unrank",
     "universal_code",
-    "vandermonde_matrix",
     "verify_parity",
 ]
 

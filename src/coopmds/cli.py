@@ -18,6 +18,10 @@ Symbols are one byte when the field order is at most 256, two bytes
 otherwise.  A stripe holds k*l data symbols taken from the file in order,
 zero-padded at the end; shard i stores row coordinate i of every stripe.
 
+repair, decode and verify read shards through one loader that checks each
+file once and keeps its symbols narrow; only the shards a command computes
+with are widened to int64, for the codec's striped kernels or repair.
+
 Exit codes: 0 success, 2 inadmissible parameters or malformed input,
 3 verification failure (checksum, parity, or corrupt shard), 4 I/O error.
 """
@@ -34,14 +38,14 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from coopmds.cluster import ClusterConfig, inject_and_sweep, run_scenario
-from coopmds.codec import parity_witness
+from coopmds.codec import decode_cells, encode_parity, parity_witness
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, make_code, min_field_order
-from coopmds.field import FieldSpec, make_field, smallest_field_spec
-from coopmds.grs import recover_batched
+from coopmds.field import FieldSpec, smallest_field_spec
 from coopmds.repair import (
     RepairContext,
     _fraction_json,
@@ -110,12 +114,13 @@ def _symbol_width(order: int) -> int:
     return 1 if order <= 256 else 2
 
 
-def _bytes_to_symbols(raw: bytes, order: int) -> np.ndarray:
+def _bytes_to_symbols(raw: "bytes | memoryview", order: int) -> np.ndarray:
+    """A read-only view of raw as uint8 or little-endian uint16 symbols."""
     if _symbol_width(order) == 1:
-        return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(raw, dtype=np.uint8)
     if len(raw) % 2:
         raise ShardFormatError("odd payload length for two-byte symbols")
-    return np.frombuffer(raw, dtype="<u2").astype(np.int64)
+    return np.frombuffer(raw, dtype="<u2")
 
 
 def _symbols_to_bytes(arr: np.ndarray, order: int) -> bytes:
@@ -145,14 +150,6 @@ def _err(message: str) -> None:
 
 
 # ---- encode ------------------------------------------------------------------
-
-
-def _encode_stripes(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
-    """Encode data of shape (l, k, stripes) into cells (l, n, stripes)."""
-    p = spec.params
-    field = make_field(spec.fieldspec)
-    parity = recover_batched(field, spec.coeff_matrix(), p.r, np.arange(p.k), data)
-    return np.concatenate([data, parity], axis=1)
 
 
 def cmd_encode(
@@ -185,12 +182,14 @@ def cmd_encode(
     stripes = -(-symbols.size // per_stripe)
     padded = np.zeros(stripes * per_stripe, dtype=np.int64)
     padded[: symbols.size] = symbols
-    cells = _encode_stripes(spec, padded.reshape(stripes, p.l, p.k).transpose(1, 2, 0))
+    data = padded.reshape(stripes, p.l, p.k).transpose(1, 2, 0)
+    parity = encode_parity(spec, data)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for node in range(1, p.n + 1):
-        payload = _symbols_to_bytes(cells[:, node - 1, :].T, order)
+        column = data[:, node - 1] if node <= p.k else parity[:, node - 1 - p.k]
+        payload = _symbols_to_bytes(column.T, order)
         header = ShardHeader(spec, node, stripes, orig_len, zlib.crc32(payload))
         (out_dir / _shard_name(node)).write_bytes(header.to_bytes() + payload)
         names.append(_shard_name(node))
@@ -208,27 +207,78 @@ def cmd_encode(
     return EXIT_OK
 
 
-# ---- shard reading -----------------------------------------------------------
+# ---- shard loading -----------------------------------------------------------
 
 
-def _read_shard(path: Path) -> tuple[ShardHeader, bytes]:
-    raw = path.read_bytes()
-    header, off = ShardHeader.parse(raw)
-    return header, raw[off:]
+@dataclass(frozen=True)
+class _Shard:
+    """A loaded shard: its header and a read-only (stripes, l) view of its
+    uint8 or uint16 symbols, or else the error that rejected it."""
+
+    name: str
+    header: "ShardHeader | None" = None
+    symbols: "np.ndarray | None" = None
+    error: "ShardFormatError | InadmissibleError | None" = None
+
+    def require(self) -> "_Shard":
+        """This shard, or its error raised with the file name in front."""
+        if self.error is not None:
+            raise type(self.error)(f"{self.name}: {self.error}")
+        return self
 
 
-def _shard_column(header: ShardHeader, payload: bytes) -> np.ndarray:
-    l = header.spec.params.l
-    order = header.spec.field.order
-    symbols = _bytes_to_symbols(payload, order)
-    if symbols.size != header.stripes * l:
-        raise ShardFormatError(
-            f"payload holds {symbols.size} symbols, header promises {header.stripes * l}"
-        )
-    # only a field smaller than the symbol width can receive a stray value
-    if order < 1 << (8 * _symbol_width(order)) and symbols.size and int(symbols.max()) >= order:
-        raise ShardFormatError(f"symbol {int(symbols.max())} is outside GF({order})")
-    return np.ascontiguousarray(symbols.reshape(header.stripes, l).T)
+def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Iterator[_Shard]:
+    """Read, parse and check each shard once: every file in shard_dir, or the
+    given nodes' files, one result each in file order.  Rejected: a file name
+    unlike the header node, a node outside 1..n, a bad CRC or payload size, a
+    symbol outside the field (ShardFormatError), or a spec, stripe count or
+    length unlike the first good shard's (InadmissibleError)."""
+    if nodes is None:
+        paths = sorted(shard_dir.glob("shard_*.cmds"))
+        if not paths:
+            raise FileNotFoundError(f"no shards found in {shard_dir}")
+    else:
+        paths = [shard_dir / _shard_name(node) for node in nodes]
+    reference = None
+    for path in paths:
+        raw = path.read_bytes()
+        try:
+            header, off = ShardHeader.parse(raw)
+            # names are unique, so this also rules out two shards claiming one node
+            if path.name != _shard_name(header.node):
+                raise ShardFormatError(f"claims node {header.node}")
+            if not 1 <= header.node <= header.spec.params.n:
+                raise ShardFormatError(f"claims node {header.node} outside the code")
+            payload = memoryview(raw)[off:]
+            if zlib.crc32(payload) != header.checksum:
+                raise ShardFormatError("checksum mismatch")
+            l, order = header.spec.params.l, header.spec.field.order
+            symbols = _bytes_to_symbols(payload, order)
+            if symbols.size != header.stripes * l:
+                raise ShardFormatError(
+                    f"payload holds {symbols.size} symbols, header promises {header.stripes * l}"
+                )
+            # only a field smaller than the symbol width can receive a stray value
+            if order < 1 << (8 * _symbol_width(order)) and symbols.size and symbols.max() >= order:
+                raise ShardFormatError(f"symbol {int(symbols.max())} is outside GF({order})")
+            key = (header.spec, header.stripes, header.orig_len)
+            if reference is not None and key != reference:
+                raise InadmissibleError("disagrees with other shards")
+        except (ShardFormatError, InadmissibleError) as exc:
+            yield _Shard(path.name, error=exc)
+            continue
+        reference = key
+        yield _Shard(path.name, header, symbols.reshape(header.stripes, l))
+
+
+def _widen(shards: Sequence[_Shard]) -> np.ndarray:
+    """The shards' symbols as int64 cells (l, len(shards), stripes), with
+    one transpose-and-widen copy per shard."""
+    header = shards[0].header
+    cells = np.empty((header.spec.params.l, len(shards), header.stripes), dtype=np.int64)
+    for j, shard in enumerate(shards):
+        cells[:, j] = shard.symbols.T
+    return cells
 
 
 # ---- repair ------------------------------------------------------------------
@@ -246,34 +296,15 @@ def cmd_repair(
         _emit({"restored": [], "mode": mode, "total": 0, "links": {}, "stripes": 0}, out)
         return EXIT_OK
     ctx = RepairContext(tuple(fail), tuple(helpers))
-    headers: dict[int, ShardHeader] = {}
-    columns: dict[int, np.ndarray] = {}
-    reference: "ShardHeader | None" = None
-    for node in ctx.helpers:
-        header, payload = _read_shard(shard_dir / _shard_name(node))
-        if header.node != node:
-            raise ShardFormatError(f"{_shard_name(node)} claims node {header.node}")
-        if zlib.crc32(payload) != header.checksum:
-            raise ShardFormatError(f"checksum mismatch in {_shard_name(node)}")
-        if reference is None:
-            reference = header
-        elif (header.spec, header.stripes, header.orig_len) != (
-            reference.spec,
-            reference.stripes,
-            reference.orig_len,
-        ):
-            raise InadmissibleError(f"{_shard_name(node)} disagrees with the other shards")
-        headers[node] = header
-        columns[node] = _shard_column(header, payload)
-
+    shards = [shard.require() for shard in _load_shards(shard_dir, ctx.helpers)]
+    reference = shards[0].header
     spec = reference.spec
+    columns = dict(zip(ctx.helpers, _widen(shards).swapaxes(0, 1)))
     restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
     names = []
     for node in ctx.failed:
         payload = _symbols_to_bytes(restored[node].T, spec.field.order)
-        header = ShardHeader(
-            spec, node, reference.stripes, reference.orig_len, zlib.crc32(payload)
-        )
+        header = ShardHeader(spec, node, reference.stripes, reference.orig_len, zlib.crc32(payload))
         (shard_dir / _shard_name(node)).write_bytes(header.to_bytes() + payload)
         names.append(_shard_name(node))
     report = transcript.to_dict()
@@ -287,54 +318,24 @@ def cmd_repair(
 
 
 def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> int:
-    """Rebuild the original file from any k consistent shards."""
-    paths = sorted(shard_dir.glob("shard_*.cmds"))
-    if not paths:
-        raise FileNotFoundError(f"no shards found in {shard_dir}")
-    columns: dict[int, np.ndarray] = {}
-    reference: "ShardHeader | None" = None
-    for path in paths:
-        header, payload = _read_shard(path)
-        # names are unique, so this also rejects two shards claiming one node
-        if path.name != _shard_name(header.node):
-            raise ShardFormatError(f"{path.name} claims node {header.node}")
-        if not 1 <= header.node <= header.spec.params.n:
-            raise ShardFormatError(f"{path.name} claims node {header.node} outside the code")
-        if zlib.crc32(payload) != header.checksum:
-            raise ShardFormatError(f"checksum mismatch in {path.name}")
-        if reference is None:
-            reference = header
-        elif (header.spec, header.stripes, header.orig_len) != (
-            reference.spec,
-            reference.stripes,
-            reference.orig_len,
-        ):
-            raise InadmissibleError(f"{path.name} disagrees with the other shards")
-        columns[header.node] = _shard_column(header, payload)
-
+    """Rebuild the original file from the k lowest-numbered shards, once all check."""
+    shards = {s.header.node: s for s in map(_Shard.require, _load_shards(shard_dir))}
+    reference = next(iter(shards.values())).header
     spec = reference.spec
     p = spec.params
-    if len(columns) < p.k:
-        raise InadmissibleError(f"need {p.k} shards to decode, found {len(columns)}")
-    use = sorted(columns)[: p.k]
-    known = np.stack([columns[i] for i in use], axis=1)
+    if len(shards) < p.k:
+        raise InadmissibleError(f"need {p.k} shards to decode, found {len(shards)}")
+    use = sorted(shards)[: p.k]
     if use == list(range(1, p.k + 1)):
-        data = known
+        # shards 1..k hold the data symbols themselves: no arithmetic
+        data = np.stack([shards[i].symbols for i in use], axis=2)
     else:
-        field = make_field(spec.fieldspec)
-        known_pos = np.array([i - 1 for i in use])
-        rest = recover_batched(field, spec.coeff_matrix(), p.r, known_pos, known)
-        cells = np.empty((p.l, p.n, reference.stripes), dtype=np.int64)
-        cells[:, known_pos] = known
-        cells[:, [j for j in range(p.n) if j + 1 not in use]] = rest
-        data = cells[:, : p.k]
+        cells = decode_cells(spec, use, _widen([shards[i] for i in use]))
+        data = cells[:, : p.k].transpose(2, 0, 1)
 
-    blob = _symbols_to_bytes(data.transpose(2, 0, 1).reshape(-1), spec.field.order)
+    blob = _symbols_to_bytes(data, spec.field.order)
     output.write_bytes(blob[: reference.orig_len])
-    _emit(
-        {"output": output.name, "bytes": reference.orig_len, "nodes_used": use},
-        out,
-    )
+    _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
     return EXIT_OK
 
 
@@ -342,52 +343,26 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
 
 
 def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
-    paths = sorted(shard_dir.glob("shard_*.cmds"))
-    if not paths:
-        raise FileNotFoundError(f"no shards found in {shard_dir}")
     shard_reports = []
-    columns: dict[int, np.ndarray] = {}
-    reference: "ShardHeader | None" = None
-    ok = True
-    for path in paths:
-        try:
-            header, payload = _read_shard(path)
-            if path.name != _shard_name(header.node):
-                raise ShardFormatError(f"claims node {header.node}")
-            if not 1 <= header.node <= header.spec.params.n:
-                raise ShardFormatError(f"claims node {header.node} outside the code")
-            if zlib.crc32(payload) != header.checksum:
-                raise ShardFormatError("checksum mismatch")
-            column = _shard_column(header, payload)
-        except ShardFormatError as exc:
-            shard_reports.append({"shard": path.name, "ok": False, "error": str(exc)})
-            ok = False
-            continue
-        if reference is None:
-            reference = header
-        elif (header.spec, header.stripes, header.orig_len) != (
-            reference.spec,
-            reference.stripes,
-            reference.orig_len,
-        ):
-            shard_reports.append(
-                {"shard": path.name, "ok": False, "error": "disagrees with other shards"}
-            )
-            ok = False
-            continue
-        shard_reports.append({"shard": path.name, "ok": True})
-        columns[header.node] = column
+    good: dict[int, _Shard] = {}
+    for shard in _load_shards(shard_dir):
+        if shard.error is None:
+            shard_reports.append({"shard": shard.name, "ok": True})
+            good[shard.header.node] = shard
+        else:
+            shard_reports.append({"shard": shard.name, "ok": False, "error": str(shard.error)})
+    ok = len(good) == len(shard_reports)
 
     report: dict = {"shards": shard_reports}
-    if reference is not None:
-        n = reference.spec.params.n
-        missing = sorted(set(range(1, n + 1)) - set(columns))
+    if good:
+        spec = next(iter(good.values())).header.spec
+        n = spec.params.n
+        missing = sorted(set(range(1, n + 1)) - set(good))
         report["missing"] = missing
         if missing:
             ok = False
         elif ok:
-            cells = np.stack([columns[node] for node in range(1, n + 1)], axis=1)
-            witness = parity_witness(reference.spec, cells)
+            witness = parity_witness(spec, _widen([good[node] for node in range(1, n + 1)]))
             if witness is None:
                 report["parity"] = {"ok": True}
             else:

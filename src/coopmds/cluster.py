@@ -1,17 +1,18 @@
 """Deterministic in-process cluster simulation.
 
 Nodes are isolated state objects holding exactly one column and an inbox; a
-coordinator executes a scenario (fail, repair, verify events) by moving
-repair-module messages across a logical bus.  The bus meters every message
-independently of the repair module's own ledger, so each repair event yields
-two traffic counts that must agree.  There is no wall clock: the meter log
-uses logical timestamps, messages inside a round are ordered by
+coordinator executes a scenario (fail, repair, verify events), running each
+repair through the repair module's own two-round run.  The bus meters every
+message that run returns independently of its ledger, so each repair event
+yields two traffic counts that must agree.  There is no wall clock: the meter
+log uses logical timestamps, messages inside a round are ordered by
 (round, sender, receiver), and codeword content comes from the config seed,
 which makes reports byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -25,14 +26,12 @@ from coopmds.codespec import CodeSpec, InadmissibleError
 from coopmds.repair import (
     BandwidthLedger,
     RepairContext,
+    _bounds,
     _fraction_json,
+    _Geometry,
+    _run_rounds,
     centralized_repair_from_round1,
     cooperative_repair,
-    cutset_centralized,
-    cutset_cooperative,
-    round1_helper_payload,
-    round1_solve,
-    round2_exchange_and_finish,
 )
 
 _MODES = ("cooperative", "centralized")
@@ -153,45 +152,20 @@ class SimulationReport:
 
 
 def _run_repair_event(
-    spec: CodeSpec,
-    ctx: RepairContext,
-    mode: str,
-    nodes: dict[int, "NodeState | None"],
-    meter: TrafficMeter,
-    workers: int,
+    spec: CodeSpec, ctx: RepairContext, mode: str, nodes: dict, meter: TrafficMeter, workers: int
 ) -> tuple[dict[int, np.ndarray], BandwidthLedger]:
-    ledger = BandwidthLedger()
-    round1 = []
-    for j in ctx.helpers:
-        for i in ctx.failed:
-            round1.append(round1_helper_payload(spec, ctx, j, i, nodes[j].column))
-    round1.sort(key=lambda m: (m.sender, m.receiver))
-    fresh = {i: NodeState(i, None) for i in ctx.failed}
-    for msg in round1:
-        meter.record(1, msg.sender, msg.receiver, int(np.asarray(msg.payload).size))
-        ledger.add(msg)
-        fresh[msg.receiver].inbox.append(msg)
-
-    def solve(i: int):
-        return round1_solve(spec, ctx, i, fresh[i].inbox)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = dict(zip(ctx.failed, pool.map(solve, ctx.failed)))
-    else:
-        states = {i: solve(i) for i in ctx.failed}
-
-    round2 = [m for i in ctx.failed for m in states[i].outgoing]
-    round2.sort(key=lambda m: (m.sender, m.receiver))
-    inbox2: dict[int, list] = {i: [] for i in ctx.failed}
-    for msg in round2:
-        if mode == "cooperative":
-            meter.record(2, msg.sender, msg.receiver, int(np.asarray(msg.payload).size))
-            ledger.add(msg)
-        inbox2[msg.receiver].append(msg)
-    restored = {
-        i: round2_exchange_and_finish(spec, ctx, i, states[i], inbox2[i]) for i in ctx.failed
-    }
+    """One repair through repair._run_rounds, round-1 solves on ``workers``
+    threads; the meter records its messages, which are dropped on return."""
+    pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+    with pool:
+        restored, messages, ledger = _run_rounds(
+            _Geometry(spec, ctx),
+            {j: nodes[j].column for j in ctx.helpers},
+            meter_round2=(mode == "cooperative"),
+            pool_map=pool.map if workers > 1 else map,
+        )
+    for msg in messages:
+        meter.record(msg.round, msg.sender, msg.receiver, msg.symbols)
     return restored, ledger
 
 
@@ -234,8 +208,7 @@ def run_scenario(config: ClusterConfig, *, workers: int = 1) -> SimulationReport
             for i, col in restored.items():
                 nodes[i] = NodeState(i, col)
             failed.clear()
-            coop = cutset_cooperative(ctx.h, ctx.d, p.k, p.l)
-            cent = cutset_centralized(ctx.h, ctx.d, p.k, p.l)
+            coop, cent = _bounds(spec, ctx)
             bound = coop if ev["mode"] == "cooperative" else cent
             events_out.append(
                 {

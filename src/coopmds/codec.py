@@ -10,12 +10,16 @@ it.  Verification re-encodes: a row is a codeword exactly when its parity
 columns equal the completion of its data columns through the same cached map.
 Only rows that differ go through the powered parity sweep, which names the
 first failing check.
+
+The striped kernels ``encode_parity``, ``decode_cells`` and ``parity_witness``
+take columns of l rows with an optional trailing stripe axis (the CLI's
+whole files); the ``CodewordArray`` functions below wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,13 +77,32 @@ class CodewordArray:
         return f"CodewordArray({self.spec!r})"
 
 
+def encode_parity(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
+    """The parity columns k+1..n, shape (l, r[, stripes]), of the data
+    columns 1..k, shape (l, k[, stripes]), solved row by row."""
+    p = spec.params
+    return recover_batched(spec.field, spec.coeff_matrix(), p.r, np.arange(p.k), data)
+
+
+def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.ndarray:
+    """Cells (l, n[, stripes]) rebuilt from known (l, k[, stripes]): the
+    columns of the k distinct nodes listed in ``nodes``, in that order."""
+    p = spec.params
+    known_pos = np.asarray(nodes, dtype=np.int64) - 1
+    rest = recover_batched(spec.field, spec.coeff_matrix(), p.r, known_pos, known)
+    cells = np.empty((p.l, p.n) + rest.shape[2:], dtype=np.int64)
+    cells[:, known_pos] = known
+    cells[:, np.setdiff1d(np.arange(p.n), known_pos)] = rest
+    return cells
+
+
 def encode_systematic(spec: CodeSpec, data: np.ndarray) -> CodewordArray:
     """Place data in columns 1..k and solve columns k+1..n row by row."""
     p = spec.params
     data = np.asarray(data, dtype=np.int64)
     if data.shape != (p.l, p.k):
         raise ValueError(f"data must have shape {(p.l, p.k)}, got {data.shape}")
-    parity = recover_batched(spec.field, spec.coeff_matrix(), p.r, np.arange(p.k), data)
+    parity = encode_parity(spec, data)
     return CodewordArray(spec, np.concatenate([data, parity], axis=1))
 
 
@@ -100,12 +123,7 @@ def decode_from_columns(spec: CodeSpec, available: Mapping[int, np.ndarray]) -> 
         if col.shape != (p.l,):
             raise ValueError(f"column {node} must be a length-{p.l} vector")
         known[:, j] = col
-    known_pos = np.asarray(use, dtype=np.int64) - 1
-    rest = recover_batched(spec.field, spec.coeff_matrix(), p.r, known_pos, known)
-    cells = np.empty((p.l, p.n), dtype=np.int64)
-    cells[:, known_pos] = known
-    cells[:, np.setdiff1d(np.arange(p.n), known_pos)] = rest
-    return CodewordArray(spec, cells)
+    return CodewordArray(spec, decode_cells(spec, use, known))
 
 
 def parity_witness(spec: CodeSpec, cells: np.ndarray) -> "tuple[int, int] | None":

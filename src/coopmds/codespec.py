@@ -65,24 +65,6 @@ def build_A(h: int, s: int) -> np.ndarray:
     return out
 
 
-def build_Bi(h: int, s: int, i: int) -> np.ndarray:
-    """B_i: digit i ranges over [0, s-1], all other digits over [0, s-2]."""
-    if not 1 <= i <= h:
-        raise ValueError(f"i must be in [1, {h}]")
-    a = build_A(h, s)
-    others = [j for j in range(h) if j != i - 1]
-    keep = np.ones(len(a), dtype=bool)
-    for j in others:
-        keep &= a[:, j] < s - 1
-    return a[keep]
-
-
-def build_A0(h: int, s: int) -> np.ndarray:
-    """A_0 = [0, s-2]^h, the intersection of all B_i."""
-    a = build_A(h, s)
-    return a[(a < s - 1).all(axis=1)]
-
-
 def subset_rank(subset: Sequence[int]) -> int:
     """Rank of a strictly increasing positive subset in the colexicographic
     order of all same-size subsets; {1,..,h} -> 1."""
@@ -91,21 +73,6 @@ def subset_rank(subset: Sequence[int]) -> int:
     if h == 0 or any(f[i] >= f[i + 1] for i in range(h - 1)) or f[0] < 1:
         raise ValueError(f"subset must be strictly increasing and positive: {subset}")
     return sum(comb(f[j] - 1, j + 1) for j in range(h)) + 1
-
-
-def subset_unrank(rank: int, h: int) -> tuple[int, ...]:
-    """Inverse of subset_rank for subsets of size h."""
-    if rank < 1 or h < 1:
-        raise ValueError("rank and h must be positive")
-    remaining = rank - 1
-    out = []
-    for j in range(h, 0, -1):
-        v = j - 1
-        while comb(v + 1, j) <= remaining:
-            v += 1
-        out.append(v + 1)
-        remaining -= comb(v, j)
-    return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -387,28 +354,6 @@ def _mask_columns(n: int, h: int, s: int, rows: np.ndarray) -> np.ndarray:
         for z, node in enumerate(subset, start=1):
             acc[:, node - 1] += a[apos, z - 1]
     return acc % s
-
-
-def mask_f(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
-    """Coefficient index of node i at row a (any-subset and concatenated)."""
-    if spec.family == "fixed_subset":
-        raise ValueError("fixed_subset nodes are masked by their own digit, not by f")
-    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
-    if not 0 <= row < spec.params.l:
-        raise ValueError(f"row {row} out of range")
-    if not 1 <= i <= spec.params.n:
-        raise ValueError(f"node {i} out of range")
-    return int(spec.mask_columns(np.array([row]))[0, i - 1])
-
-
-def row_coeff(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
-    """The λ multiplying c_{i,a} in every parity row t."""
-    if not 1 <= i <= spec.params.n:
-        raise ValueError(f"node {i} out of range")
-    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
-    if not 0 <= row < spec.params.l:
-        raise ValueError(f"row {row} out of range")
-    return int(spec.coeff_matrix()[row, i - 1])
 
 
 def min_field_order(family: str, n: int, h: int, s: int) -> int:

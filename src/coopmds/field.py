@@ -288,9 +288,6 @@ class Field:
             return np.asarray(arr, dtype=np.int64).sum(axis=axis) % self._p
         return np.bitwise_xor.reduce(np.asarray(arr, dtype=np.int64), axis=axis)
 
-    def elements(self, count: int) -> list[int]:
-        return enumerate_elements(self, count)
-
     def __repr__(self) -> str:
         base = f"GF({self.spec.modulus})" if self.spec.kind == "prime" else f"GF(2^{self.spec.modulus})"
         return f"Field({base})"

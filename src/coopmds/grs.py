@@ -20,16 +20,11 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from coopmds.field import Field
-
-
-def _check_distinct(points: Sequence[int]) -> None:
-    if len(set(points)) != len(points):
-        raise ValueError("points must be pairwise distinct")
 
 
 def solve_batched(field: Field, mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -67,32 +62,6 @@ def solve_batched(field: Field, mats: np.ndarray, rhs: np.ndarray) -> np.ndarray
         mats = field.sub(mats, field.mul(fac[:, :, None], mats[:, col : col + 1, :]))
         rhs = field.sub(rhs, field.mul(fac, rhs[:, col][:, None]))
     return rhs
-
-
-def vandermonde_matrix(field: Field, points: Sequence[int], rows: int) -> np.ndarray:
-    """Matrix V with V[t, j] = points[j]^t for t = 0..rows-1 (0^0 = 1)."""
-    pts = np.asarray(points, dtype=np.int64)
-    out = np.empty((rows, len(points)), dtype=np.int64)
-    if rows == 0:
-        return out
-    row = np.ones(len(points), dtype=np.int64)
-    for t in range(rows):
-        out[t] = row
-        row = field.mul(row, pts)
-    return out
-
-
-def solve_vandermonde(field: Field, points: Sequence[int], rhs: Sequence[int]) -> list[int]:
-    """Solve sum_j points[j]^t y_j = rhs[t] for t = 0..q-1."""
-    _check_distinct(points)
-    if len(rhs) != len(points):
-        raise ValueError("rhs length must match point count")
-    q = len(points)
-    if q == 0:
-        return []
-    mat = vandermonde_matrix(field, points, q)
-    y = solve_batched(field, mat[None, :, :], np.asarray(rhs, dtype=np.int64)[None, :])
-    return [int(v) for v in y[0]]
 
 
 class _RowGroups:
@@ -224,36 +193,3 @@ def recover_batched(
     if points.ndim != 2:
         raise ValueError("points must be a (systems, coordinates) matrix")
     return _row_groups(field, points).complete(parity, known_pos, known_vals)
-
-
-def grs_erasure_recover(
-    field: Field, points: Sequence[int], parity: int, known: Mapping[int, int]
-) -> list[int]:
-    """Recover the full length-N codeword from N-parity known coordinates.
-
-    ``known`` maps coordinate index (0-based) to symbol; the caller guarantees
-    the knowns are consistent with some codeword (no cross-checking here, the
-    codec has a separate verifier).
-    """
-    _check_distinct(points)
-    npts = len(points)
-    if not (0 <= parity <= npts):
-        raise ValueError("parity out of range")
-    for pos in known:
-        if not 0 <= pos < npts:
-            raise ValueError(f"known position {pos} out of range")
-    known_pos = sorted(known)
-    vals = recover_batched(
-        field,
-        np.asarray(points, dtype=np.int64)[None, :],
-        parity,
-        known_pos,
-        np.asarray([known[p] for p in known_pos], dtype=np.int64)[None, :],
-    )[0]
-    out = [0] * npts
-    for p in known_pos:
-        out[p] = int(known[p])
-    unknown_pos = [p for p in range(npts) if p not in known]
-    for p, v in zip(unknown_pos, vals):
-        out[p] = int(v)
-    return out

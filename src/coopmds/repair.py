@@ -258,6 +258,7 @@ class _Geometry:
         )
         self.coeff = spec.coeff_matrix()
         self._tables: dict[int, np.ndarray] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
     def node_table(self, i: int) -> np.ndarray:
         """table[c, u] = A-position of the block with digit u at node i's
@@ -277,8 +278,13 @@ class _Geometry:
         return self._tables[i]
 
     def cell_rows(self, i: int) -> np.ndarray:
-        """Absolute rows of node i's repair cells, shape (ninst, ncls, s)."""
-        return self.bases[:, None, None] + self.stride * self.node_table(i)[None, :, :]
+        """Absolute rows of node i's repair cells, shape (ninst, ncls, s), built
+        once per geometry; of threads that race, setdefault keeps the first."""
+        rows = self._rows.get(i)
+        if rows is None:
+            rows = self.bases[:, None, None] + self.stride * self.node_table(i)[None, :, :]
+            rows = self._rows.setdefault(i, rows)
+        return rows
 
     def tag_array(self, i: int) -> np.ndarray:
         base = (self.bases[:, None] + self.stride * self.node_table(i)[None, :, 0]).ravel()
@@ -375,8 +381,10 @@ def _round1_groups(geom: _Geometry, i: int) -> _RowGroups:
     )
 
 
-def _solve_node(geom: _Geometry, i: int, by_sender: dict[int, np.ndarray], flat: bool) -> Round1State:
+def _solve_node(geom: _Geometry, i: int, payloads: Iterable[RepairMessage]) -> Round1State:
     spec, ctx = geom.spec, geom.ctx
+    by_sender = _index_payloads(geom, i, payloads)
+    flat = all(p.shape[1] == 1 for p in by_sender.values())
     s = geom.s
     cross = [ip for ip in ctx.failed if ip != i]
     r = spec.params.r
@@ -413,10 +421,7 @@ def round1_solve(
     """
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    geom = _Geometry(spec, ctx)
-    by_sender = _index_payloads(geom, failed, payloads)
-    flat = all(p.shape[1] == 1 for p in by_sender.values())
-    return _solve_node(geom, failed, by_sender, flat)
+    return _solve_node(_Geometry(spec, ctx), failed, payloads)
 
 
 # ---- round 2 ----------------------------------------------------------------
@@ -487,8 +492,10 @@ def round2_exchange_and_finish(
 
 
 def _run_rounds(
-    geom: _Geometry, helper_columns: Mapping[int, np.ndarray], *, meter_round2: bool
+    geom: _Geometry, helper_columns: Mapping[int, np.ndarray], *, meter_round2: bool, pool_map=map
 ) -> tuple[dict[int, np.ndarray], list[RepairMessage], BandwidthLedger]:
+    """Both rounds on one geometry, round-1 solves through pool_map: restored
+    columns, metered messages in (round, sender, receiver) order, ledger."""
     ctx = geom.ctx
     ledger = BandwidthLedger()
     messages: list[RepairMessage] = []
@@ -499,11 +506,8 @@ def _run_rounds(
             inbox1[i].append(msg)
             ledger.add(msg)
             messages.append(msg)
-    states = {}
-    for i in ctx.failed:
-        by_sender = _index_payloads(geom, i, inbox1[i])
-        flat = all(p.shape[1] == 1 for p in by_sender.values())
-        states[i] = _solve_node(geom, i, by_sender, flat)
+    solved = pool_map(lambda i: _solve_node(geom, i, inbox1[i]), ctx.failed)
+    states = dict(zip(ctx.failed, solved))
     inbox2: dict[int, list[RepairMessage]] = {i: [] for i in ctx.failed}
     for i in ctx.failed:
         for msg in states[i].outgoing:

@@ -1,0 +1,135 @@
+"""Small forms of library operations that only the tests use: one
+Vandermonde system or erasure pattern at a time, one node and row of a code,
+and the index sets the repair argument is stated in.  Unlike oracles.py,
+these call library code.
+"""
+
+from __future__ import annotations
+
+from math import comb
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from coopmds.codespec import CodeSpec, MultiIndex, build_A
+from coopmds.field import Field
+from coopmds.grs import recover_batched, solve_batched
+
+
+def _check_distinct(points: Sequence[int]) -> None:
+    if len(set(points)) != len(points):
+        raise ValueError("points must be pairwise distinct")
+
+
+def vandermonde_matrix(field: Field, points: Sequence[int], rows: int) -> np.ndarray:
+    """Matrix V with V[t, j] = points[j]^t for t = 0..rows-1 (0^0 = 1)."""
+    pts = np.asarray(points, dtype=np.int64)
+    out = np.empty((rows, len(points)), dtype=np.int64)
+    if rows == 0:
+        return out
+    row = np.ones(len(points), dtype=np.int64)
+    for t in range(rows):
+        out[t] = row
+        row = field.mul(row, pts)
+    return out
+
+
+def solve_vandermonde(field: Field, points: Sequence[int], rhs: Sequence[int]) -> list[int]:
+    """Solve sum_j points[j]^t y_j = rhs[t] for t = 0..q-1."""
+    _check_distinct(points)
+    if len(rhs) != len(points):
+        raise ValueError("rhs length must match point count")
+    q = len(points)
+    if q == 0:
+        return []
+    mat = vandermonde_matrix(field, points, q)
+    y = solve_batched(field, mat[None, :, :], np.asarray(rhs, dtype=np.int64)[None, :])
+    return [int(v) for v in y[0]]
+
+
+def grs_erasure_recover(
+    field: Field, points: Sequence[int], parity: int, known: Mapping[int, int]
+) -> list[int]:
+    """Recover the full length-N codeword from N-parity known coordinates.
+
+    ``known`` maps coordinate index (0-based) to symbol; the caller guarantees
+    the knowns are consistent with some codeword (no cross-checking here, the
+    codec has a separate verifier).
+    """
+    _check_distinct(points)
+    npts = len(points)
+    if not (0 <= parity <= npts):
+        raise ValueError("parity out of range")
+    for pos in known:
+        if not 0 <= pos < npts:
+            raise ValueError(f"known position {pos} out of range")
+    known_pos = sorted(known)
+    vals = recover_batched(
+        field,
+        np.asarray(points, dtype=np.int64)[None, :],
+        parity,
+        known_pos,
+        np.asarray([known[p] for p in known_pos], dtype=np.int64)[None, :],
+    )[0]
+    out = [0] * npts
+    for p in known_pos:
+        out[p] = int(known[p])
+    unknown_pos = [p for p in range(npts) if p not in known]
+    for p, v in zip(unknown_pos, vals):
+        out[p] = int(v)
+    return out
+
+
+def build_Bi(h: int, s: int, i: int) -> np.ndarray:
+    """B_i: digit i ranges over [0, s-1], all other digits over [0, s-2]."""
+    if not 1 <= i <= h:
+        raise ValueError(f"i must be in [1, {h}]")
+    a = build_A(h, s)
+    others = [j for j in range(h) if j != i - 1]
+    keep = np.ones(len(a), dtype=bool)
+    for j in others:
+        keep &= a[:, j] < s - 1
+    return a[keep]
+
+
+def build_A0(h: int, s: int) -> np.ndarray:
+    """A_0 = [0, s-2]^h, the intersection of all B_i."""
+    a = build_A(h, s)
+    return a[(a < s - 1).all(axis=1)]
+
+
+def subset_unrank(rank: int, h: int) -> tuple[int, ...]:
+    """Inverse of subset_rank for subsets of size h."""
+    if rank < 1 or h < 1:
+        raise ValueError("rank and h must be positive")
+    remaining = rank - 1
+    out = []
+    for j in range(h, 0, -1):
+        v = j - 1
+        while comb(v + 1, j) <= remaining:
+            v += 1
+        out.append(v + 1)
+        remaining -= comb(v, j)
+    return tuple(reversed(out))
+
+
+def mask_f(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
+    """Coefficient index of node i at row a (any-subset and concatenated)."""
+    if spec.family == "fixed_subset":
+        raise ValueError("fixed_subset nodes are masked by their own digit, not by f")
+    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
+    if not 0 <= row < spec.params.l:
+        raise ValueError(f"row {row} out of range")
+    if not 1 <= i <= spec.params.n:
+        raise ValueError(f"node {i} out of range")
+    return int(spec.mask_columns(np.array([row]))[0, i - 1])
+
+
+def row_coeff(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
+    """The λ multiplying c_{i,a} in every parity row t."""
+    if not 1 <= i <= spec.params.n:
+        raise ValueError(f"node {i} out of range")
+    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
+    if not 0 <= row < spec.params.l:
+        raise ValueError(f"row {row} out of range")
+    return int(spec.coeff_matrix()[row, i - 1])

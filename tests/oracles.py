@@ -92,7 +92,13 @@ def digits_of(a: "int | np.ndarray", base: int, count: int) -> np.ndarray:
     """Digit vectors (a_1..a_count) of a in the given base, least significant
     first; works on arrays (output shape (..., count))."""
     a = np.asarray(a, dtype=np.int64)
-    return np.stack([(a // base**j) % base for j in range(count)], axis=-1)
+    # built digit-major, one contiguous write per digit, and returned as a
+    # view with the digit axis last
+    out = np.empty((count,) + a.shape, dtype=np.int64)
+    rest = a.copy()
+    for j in range(count):
+        np.divmod(rest, base, out=(rest, out[j, ...]))
+    return np.moveaxis(out, 0, -1)
 
 
 def parity_count_mask(n: int, i: int, a: "int | np.ndarray") -> np.ndarray:

@@ -219,6 +219,34 @@ def test_decode_rejects_node_outside_the_code(tmp_path):
     assert main(["decode", str(outdir), str(tmp_path / "x.bin")]) == EXIT_VERIFY
 
 
+@pytest.mark.parametrize("damage", ["bad-crc", "short-payload", "symbol-outside-gf13"])
+def test_decode_rejects_a_broken_surplus_shard(tmp_path, capsys, damage):
+    """Decode reads shards 1 and 2 only, but a broken shard 5 still stops it."""
+    src = tmp_path / "in.bin"
+    src.write_bytes(bytes(np.random.default_rng(6).integers(0, 13, 600, dtype=np.uint8)))
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    assert main(argv + ["--field", "13"]) == EXIT_OK
+    path = outdir / "shard_005.cmds"
+    if damage == "bad-crc":
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+    elif damage == "short-payload":
+        _rewrite_payload(path, lambda payload: payload.pop())
+    else:
+
+        def stray(payload):
+            payload[0] = 14
+
+        _rewrite_payload(path, stray)
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_005.cmds" in capsys.readouterr().err
+
+
 # ---- verify -----------------------------------------------------------------
 
 

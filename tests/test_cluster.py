@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from coopmds.cluster import ClusterConfig, TrafficMeter, inject_and_sweep, run_scenario
+from coopmds.codec import encode_systematic
 from coopmds.codespec import InadmissibleError, concat, make_code
 from coopmds.field import FieldSpec, make_field
+from coopmds.repair import RepairContext, repair_columns
 
 GF7 = FieldSpec("prime", 7)
 GF11 = FieldSpec("prime", 11)
@@ -203,6 +205,32 @@ def test_different_seeds_change_content_not_traffic():
     b = run_scenario(ClusterConfig(fixed523(), 2, FAIL_REPAIR_VERIFY))
     assert a.meter.to_dict() == b.meter.to_dict()
     assert a.verified and b.verified
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_meter_log_matches_the_library_transcripts(workers):
+    spec = make_code("any_subset", 4, 1, 2, 2, make_field("binary", 3))
+    events = (
+        {"type": "fail", "nodes": [1, 3]},
+        {"type": "repair", "helpers": [2, 4]},
+        {"type": "fail", "nodes": [2, 4]},
+        {"type": "repair", "helpers": [1, 3], "mode": "centralized"},
+        {"type": "verify"},
+    )
+    report = run_scenario(ClusterConfig(spec, 9, events), workers=workers)
+    assert report.verified
+    rng = np.random.default_rng(9)
+    cw = encode_systematic(spec, rng.integers(0, 8, size=(spec.params.l, spec.params.k)))
+    expect = []
+    for ev in report.events:
+        if ev["event"] == "repair":
+            ctx = RepairContext(tuple(ev["failed"]), tuple(ev["helpers"]))
+            helpers = {j: cw.column(j) for j in ctx.helpers}
+            _, transcript = repair_columns(spec, ctx, helpers, mode=ev["mode"])
+            expect += [(m.round, m.sender, m.receiver, m.symbols) for m in transcript.messages]
+    log = [(e["round"], e["from"], e["to"], e["symbols"]) for e in report.meter.log]
+    assert {rnd for rnd, *_ in log} == {1, 2}
+    assert log == expect
 
 
 # ---- node isolation ---------------------------------------------------------

@@ -9,14 +9,16 @@ import pytest
 
 from coopmds.codec import (
     CodewordArray,
+    decode_cells,
     decode_from_columns,
+    encode_parity,
     encode_systematic,
     parity_witness,
     verify_parity,
 )
 from coopmds.codespec import concat, make_code, universal_code
 from coopmds.field import FieldSpec, make_field
-from coopmds.grs import grs_erasure_recover
+from lib_helpers import grs_erasure_recover
 from oracles import dual_vandermonde_codewords, powered_sweep_witness
 
 GF7 = FieldSpec("prime", 7)
@@ -283,6 +285,18 @@ def test_verify_cancelled_t0_edit_matches_oracle():
     cells[1, 4] = (cells[1, 4] - 1) % 7
     res = verify_parity(CodewordArray(spec, cells))
     assert (res.ok, res.t, res.row) == powered_sweep_witness(spec, cells) == (False, 1, 1)
+
+
+@pytest.mark.parametrize("make_spec", WITNESS_SPECS)
+def test_striped_kernels_match_one_codeword_per_stripe(make_spec):
+    spec = make_spec()
+    p = spec.params
+    cells = np.stack([random_codeword(spec, seed=40 + s).cells for s in range(3)], axis=2)
+    assert np.array_equal(encode_parity(spec, cells[:, : p.k]), cells[:, p.k :])
+    for nodes in itertools.combinations(range(1, p.n + 1), p.k):
+        for order in (nodes, nodes[::-1]):
+            known = cells[:, np.asarray(order) - 1]
+            assert np.array_equal(decode_cells(spec, order, known), cells)
 
 
 # ---- container --------------------------------------------------------------

@@ -14,19 +14,15 @@ from coopmds.codespec import (
     InadmissibleError,
     MultiIndex,
     build_A,
-    build_A0,
-    build_Bi,
     card_A,
     concat,
     make_code,
-    mask_f,
     min_field_order,
-    row_coeff,
     subset_rank,
-    subset_unrank,
     universal_code,
 )
 from coopmds.field import FieldSpec, make_field
+from lib_helpers import build_A0, build_Bi, mask_f, row_coeff, subset_unrank
 from oracles import indicator_mask, pair_digit_mask, pair_rank, parity_count_mask
 
 GF7 = FieldSpec("prime", 7)

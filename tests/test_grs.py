@@ -8,14 +8,8 @@ import numpy as np
 import pytest
 
 from coopmds.field import make_field
-from coopmds.grs import (
-    _RowGroups,
-    grs_erasure_recover,
-    recover_batched,
-    solve_batched,
-    solve_vandermonde,
-    vandermonde_matrix,
-)
+from coopmds.grs import _RowGroups, recover_batched, solve_batched
+from lib_helpers import grs_erasure_recover, solve_vandermonde, vandermonde_matrix
 from oracles import dual_vandermonde_codewords
 
 

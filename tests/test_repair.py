@@ -473,3 +473,53 @@ def test_concurrent_repairs_share_one_round1_grouping():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(seen) == 8 and all(g is seen[0] for g in seen)
+
+
+def test_geometry_builds_cell_rows_once():
+    from coopmds.repair import _Geometry
+
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    geom = _Geometry(spec, RepairContext((1, 3), (2, 4)))
+    rows = geom.cell_rows(1)
+    assert geom.cell_rows(1) is rows
+    assert np.array_equal(rows, geom.bases[:, None, None] + geom.stride * geom.node_table(1)[None])
+    assert geom.cell_rows(3) is not rows
+
+
+def test_threads_sharing_a_geometry_get_one_cell_rows_array():
+    import sys
+    import threading
+
+    from coopmds.repair import _Geometry, _run_rounds
+
+    spec = make_code("any_subset", 5, 2, 2, 3, GF11)
+    cw = random_codeword(spec, seed=47)
+    ctx = RepairContext((2, 5), (1, 3, 4))
+    geom = _Geometry(spec, ctx)
+    helpers = {j: cw.column(j) for j in ctx.helpers}
+    seen, errors = [], []
+    start = threading.Barrier(8, timeout=60)
+
+    def work():
+        try:
+            start.wait()
+            seen.append(geom.cell_rows(5))
+            restored, _, _ = _run_rounds(geom, helpers, meter_round2=True)
+            if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
+                errors.append("wrong column")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(seen) == 8 and all(rows is geom.cell_rows(5) for rows in seen)

@@ -20,7 +20,9 @@ zero-padded at the end; shard i stores row coordinate i of every stripe.
 
 repair, decode and verify read shards through one loader that checks each
 file once and keeps its symbols narrow; only the shards a command computes
-with are widened to int64, for the codec's striped kernels or repair.
+with are widened to int64, for the codec's striped kernels or repair.  Every
+shard and decoded file is written under a hidden temp name and renamed into
+place, so a failed write never leaves a partial file under the final name.
 
 Exit codes: 0 success, 2 inadmissible parameters or malformed input,
 3 verification failure (checksum, parity, or corrupt shard), 4 I/O error.
@@ -32,6 +34,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import struct
 import sys
 import zlib
@@ -138,6 +141,28 @@ def _field_from_order(order: int) -> FieldSpec:
     return FieldSpec("prime", order)
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write data under a hidden sibling name (not matched by ``shard_*.cmds``)
+    and rename it into place: a failed write leaves nothing under path."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_shard(
+    shard_dir: Path, spec: CodeSpec, node: int, stripes: int, orig_len: int, column: np.ndarray
+) -> str:
+    """Write node's shard of a (stripes, l) column, returning its file name."""
+    payload = _symbols_to_bytes(column, spec.field.order)
+    header = ShardHeader(spec, node, stripes, orig_len, zlib.crc32(payload))
+    _write_atomic(shard_dir / _shard_name(node), header.to_bytes() + payload)
+    return _shard_name(node)
+
+
 def _emit(doc: dict, out: "Path | None") -> None:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if out is not None:
@@ -189,10 +214,7 @@ def cmd_encode(
     names = []
     for node in range(1, p.n + 1):
         column = data[:, node - 1] if node <= p.k else parity[:, node - 1 - p.k]
-        payload = _symbols_to_bytes(column.T, order)
-        header = ShardHeader(spec, node, stripes, orig_len, zlib.crc32(payload))
-        (out_dir / _shard_name(node)).write_bytes(header.to_bytes() + payload)
-        names.append(_shard_name(node))
+        names.append(_write_shard(out_dir, spec, node, stripes, orig_len, column.T))
     _emit(
         {
             "shards": names,
@@ -301,12 +323,10 @@ def cmd_repair(
     spec = reference.spec
     columns = dict(zip(ctx.helpers, _widen(shards).swapaxes(0, 1)))
     restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
-    names = []
-    for node in ctx.failed:
-        payload = _symbols_to_bytes(restored[node].T, spec.field.order)
-        header = ShardHeader(spec, node, reference.stripes, reference.orig_len, zlib.crc32(payload))
-        (shard_dir / _shard_name(node)).write_bytes(header.to_bytes() + payload)
-        names.append(_shard_name(node))
+    names = [
+        _write_shard(shard_dir, spec, node, reference.stripes, reference.orig_len, restored[node].T)
+        for node in ctx.failed
+    ]
     report = transcript.to_dict()
     report["restored"] = names
     report["per_stripe"] = _fraction_json(Fraction(transcript.ledger.total, reference.stripes))
@@ -334,7 +354,7 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
         data = cells[:, : p.k].transpose(2, 0, 1)
 
     blob = _symbols_to_bytes(data, spec.field.order)
-    output.write_bytes(blob[: reference.orig_len])
+    _write_atomic(output, blob[: reference.orig_len])
     _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
     return EXIT_OK
 

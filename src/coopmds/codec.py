@@ -4,10 +4,11 @@ verification.
 Every parity constraint couples only the n symbols of one row: row a of a
 codeword is a dual-Vandermonde codeword on the points coeff_matrix()[a] with
 r parity equations.  Encoding and decoding are therefore one batched
-completion call each: the completion map is built once per distinct row of
-coeff_matrix() and erasure pattern, then applied to every row that shares
-it.  Verification re-encodes: a row is a codeword exactly when its parity
-columns equal the completion of its data columns through the same cached map.
+completion call each, through the grouping of coeff_matrix() rows that the
+spec keeps: the completion map is built once per distinct row and erasure
+pattern, then applied to every row that shares it.  Verification re-encodes:
+a row is a codeword exactly when its parity columns equal the completion of
+its data columns through the same cached map.
 Only rows that differ go through the powered parity sweep, which names the
 first failing check.
 
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from coopmds.codespec import CodeSpec
-from coopmds.grs import recover_batched
+from coopmds.grs import _RowGroups
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,16 @@ class CodewordArray:
         return f"CodewordArray({self.spec!r})"
 
 
+def _coeff_groups(spec: CodeSpec) -> _RowGroups:
+    """coeff_matrix()'s row grouping and completion maps, kept by the spec."""
+    return spec._derived("coeff_groups", lambda: _RowGroups(spec.field, spec.coeff_matrix()))
+
+
 def encode_parity(spec: CodeSpec, data: np.ndarray) -> np.ndarray:
     """The parity columns k+1..n, shape (l, r[, stripes]), of the data
     columns 1..k, shape (l, k[, stripes]), solved row by row."""
     p = spec.params
-    return recover_batched(spec.field, spec.coeff_matrix(), p.r, np.arange(p.k), data)
+    return _coeff_groups(spec).complete(p.r, np.arange(p.k), data)
 
 
 def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.ndarray:
@@ -89,7 +95,7 @@ def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.
     columns of the k distinct nodes listed in ``nodes``, in that order."""
     p = spec.params
     known_pos = np.asarray(nodes, dtype=np.int64) - 1
-    rest = recover_batched(spec.field, spec.coeff_matrix(), p.r, known_pos, known)
+    rest = _coeff_groups(spec).complete(p.r, known_pos, known)
     cells = np.empty((p.l, p.n) + rest.shape[2:], dtype=np.int64)
     cells[:, known_pos] = known
     cells[:, np.setdiff1d(np.arange(p.n), known_pos)] = rest
@@ -140,7 +146,7 @@ def parity_witness(spec: CodeSpec, cells: np.ndarray) -> "tuple[int, int] | None
     field = spec.field
     coeff = spec.coeff_matrix()
     cells = np.asarray(cells, dtype=np.int64)
-    parity = recover_batched(field, coeff, p.r, np.arange(p.k), cells[:, : p.k])
+    parity = encode_parity(spec, cells[:, : p.k])
     differs = (parity != cells[:, p.k :]).reshape(p.l, -1).any(axis=1)
     bad = np.flatnonzero(differs)
     if not bad.size:

@@ -124,7 +124,7 @@ class CodeSpec:
         self.lam = lam
         self.lam.setflags(write=False)
         self.components = components
-        self._coeff: np.ndarray | None = None
+        self._cache: dict = {}
 
     # ---- identity ---------------------------------------------------------
 
@@ -157,6 +157,14 @@ class CodeSpec:
             return f"CodeSpec(concatenated n={p.n} k={p.k} l={p.l} components=[{pairs}])"
         return f"CodeSpec({self.family} n={p.n} k={p.k} h={p.h} d={p.d} l={p.l})"
 
+    def _derived(self, key, build):
+        """build(), computed once per key: every table derived from this code
+        lives here.  Of threads that race, setdefault keeps the first value."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache.setdefault(key, build())
+        return value
+
     # ---- row labels ---------------------------------------------------------
 
     @property
@@ -166,20 +174,19 @@ class CodeSpec:
 
     @property
     def A(self) -> np.ndarray:
-        if not hasattr(self, "_A"):
-            self._A = build_A(self.params.h, self.params.s)
-        return self._A
+        return self._derived("A", lambda: build_A(self.params.h, self.params.s))
 
     @property
     def apos(self) -> np.ndarray:
         """Lookup: mixed-radix key of block digits -> position in A (or -1)."""
-        if not hasattr(self, "_apos"):
-            h, s = self.params.h, self.params.s
-            table = np.full(s**h, -1, dtype=np.int64)
-            keys = (self.A * (s ** np.arange(h, dtype=np.int64))[None, :]).sum(axis=1)
-            table[keys] = np.arange(len(self.A))
-            self._apos = table
-        return self._apos
+        return self._derived("apos", self._build_apos)
+
+    def _build_apos(self) -> np.ndarray:
+        h, s = self.params.h, self.params.s
+        table = np.full(s**h, -1, dtype=np.int64)
+        keys = (self.A * (s ** np.arange(h, dtype=np.int64))[None, :]).sum(axis=1)
+        table[keys] = np.arange(len(self.A))
+        return table
 
     def apos_of(self, block: Sequence[int]) -> int:
         s = self.params.s
@@ -253,14 +260,13 @@ class CodeSpec:
     def coeff_matrix(self) -> np.ndarray:
         """The l×n table of λ values multiplying c_{i,row} in every parity
         row; cached, read-only."""
-        if self._coeff is None:
-            masks = self.mask_columns(np.arange(self.params.l))
-            out = np.empty_like(masks)
-            for col in range(self.params.n):
-                out[:, col] = self.lam[col, masks[:, col]]
-            out.setflags(write=False)
-            self._coeff = out
-        return self._coeff
+        return self._derived("coeff", self._build_coeff)
+
+    def _build_coeff(self) -> np.ndarray:
+        masks = self.mask_columns(np.arange(self.params.l))
+        out = self.lam[np.arange(self.params.n), masks]
+        out.setflags(write=False)
+        return out
 
     def lambdas_flat(self) -> list[int]:
         """All stored coefficients in assignment order."""

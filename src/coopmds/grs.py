@@ -10,16 +10,15 @@ The unknowns are a fixed linear function of the knowns, so ``recover_batched``
 builds one r x (N-r) map per distinct point row with ``solve_batched`` (plain
 Gaussian elimination over a numpy stack of systems; r stays single-digit at
 all supported scales) and applies it as a multiply-accumulate to every system
-and stripe that shares the row.  Row grouping and maps are cached for
-read-only point arrays such as ``CodeSpec.coeff_matrix()``, so a code pays
-for them once per erasure pattern rather than once per call or stripe; the
-same per-array cache holds repair's round-1 groupings.
+and stripe that shares the row.  ``recover_batched`` caches nothing: a
+caller that reuses one points matrix keeps its ``_RowGroups`` (the grouping
+plus the maps built so far), as ``CodeSpec`` does for ``coeff_matrix()`` and
+for repair's round-1 points, so a code pays for them once per erasure
+pattern rather than once per call or stripe.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import Sequence
 
 import numpy as np
@@ -142,37 +141,6 @@ class _RowGroups:
         return out if known_vals.ndim == 3 else out[:, :, 0]
 
 
-# Values derived from read-only arrays, by id() of the array and then by a
-# caller's key; an array's entries are dropped when it is freed, so an id is
-# never looked up stale.
-_DERIVED: dict[int, dict] = {}
-_DERIVED_LOCK = threading.Lock()
-
-
-def _derived(array: np.ndarray, key, build):
-    """build(), computed once per key for as long as the read-only array
-    (which must own its data, so its contents cannot change) lives."""
-    with _DERIVED_LOCK:
-        entries = _DERIVED.get(id(array))
-        if entries is None:
-            entries = _DERIVED[id(array)] = {}
-            weakref.finalize(array, _DERIVED.pop, id(array), None)
-        value = entries.get(key)
-    if value is None:
-        value = build()
-        with _DERIVED_LOCK:
-            value = entries.setdefault(key, value)
-    return value
-
-
-def _row_groups(field: Field, points: np.ndarray) -> _RowGroups:
-    """Group the rows of points, reusing the grouping of a read-only array
-    that owns its data for as long as it lives."""
-    if points.flags.writeable or points.base is not None:
-        return _RowGroups(field, points)
-    return _derived(points, field, lambda: _RowGroups(field, points))
-
-
 def recover_batched(
     field: Field,
     points: np.ndarray,
@@ -192,4 +160,4 @@ def recover_batched(
     points = np.asarray(points, dtype=np.int64)
     if points.ndim != 2:
         raise ValueError("points must be a (systems, coordinates) matrix")
-    return _row_groups(field, points).complete(parity, known_pos, known_vals)
+    return _RowGroups(field, points).complete(parity, known_pos, known_vals)

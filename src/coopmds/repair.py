@@ -20,9 +20,10 @@ blocks, and concatenated codes one per assignment of the other components'
 digits as well.  Columns may carry a trailing stripe axis.  Each cell's
 points are passed once: the round-1 completion map is built once per
 distinct point row and then applied to every cell and stripe that shares it,
-which is how whole-file repair stays fast.  The grouping of a failed node's
-cell points into distinct rows is kept with the code's coefficient matrix, so
-repeating a repair of the same failed and helper sets skips it.
+which is how whole-file repair stays fast.  The spec keeps the grouping of
+a failed node's cell points, so a repeat repair of the same failed and helper
+sets skips it; the geometry keeps each node's cell rows and the one tags
+array that every message about those cells shares.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from coopmds.codec import CodewordArray
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, subset_rank
-from coopmds.grs import _derived, _RowGroups
+from coopmds.grs import _RowGroups
 
 
 # ---- bounds -----------------------------------------------------------------
@@ -243,10 +244,10 @@ class _Geometry:
         comp, scale = _validate_context(spec, ctx)
         self.spec, self.ctx, self.comp = spec, ctx, comp
         self.s, self.h = comp.params.s, comp.params.h
-        self.ca = card_A(self.h, self.s)
-        self.stride = scale * self.ca ** (subset_rank(ctx.failed) - 1)
+        ca = card_A(self.h, self.s)
+        self.stride = scale * ca ** (subset_rank(ctx.failed) - 1)
         l = spec.params.l
-        span = self.stride * self.ca
+        span = self.stride * ca
         lo = np.arange(self.stride, dtype=np.int64)
         hi = np.arange(l // span, dtype=np.int64) * span
         self.bases = (hi[:, None] + lo[None, :]).ravel()
@@ -258,7 +259,7 @@ class _Geometry:
         )
         self.coeff = spec.coeff_matrix()
         self._tables: dict[int, np.ndarray] = {}
-        self._rows: dict[int, np.ndarray] = {}
+        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def node_table(self, i: int) -> np.ndarray:
         """table[c, u] = A-position of the block with digit u at node i's
@@ -277,41 +278,61 @@ class _Geometry:
             self._tables[i] = table
         return self._tables[i]
 
-    def cell_rows(self, i: int) -> np.ndarray:
-        """Absolute rows of node i's repair cells, shape (ninst, ncls, s), built
-        once per geometry; of threads that race, setdefault keeps the first."""
-        rows = self._rows.get(i)
-        if rows is None:
+    def _node_cells(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """cell_rows(i) and tag_array(i), read-only and built once; of threads
+        that race, setdefault keeps the first pair."""
+        cells = self._cells.get(i)
+        if cells is None:
             rows = self.bases[:, None, None] + self.stride * self.node_table(i)[None, :, :]
-            rows = self._rows.setdefault(i, rows)
-        return rows
+            tags = np.stack([rows[:, :, 0].ravel(), np.full(self.quota, i, dtype=np.int64)], axis=1)
+            rows.setflags(write=False)
+            tags.setflags(write=False)
+            cells = self._cells.setdefault(i, (rows, tags))
+        return cells
+
+    def cell_rows(self, i: int) -> np.ndarray:
+        """Absolute rows of node i's repair cells, shape (ninst, ncls, s)."""
+        return self._node_cells(i)[0]
 
     def tag_array(self, i: int) -> np.ndarray:
-        base = (self.bases[:, None] + self.stride * self.node_table(i)[None, :, 0]).ravel()
-        return np.stack([base, np.full(self.quota, i, dtype=np.int64)], axis=1)
+        """(base row, i) per cell: the tags of every message varying i's digit."""
+        return self._node_cells(i)[1]
 
 
-def _as_stack(geom: _Geometry, column: np.ndarray) -> tuple[np.ndarray, int, bool]:
-    column = np.asarray(column, dtype=np.int64)
-    flat = column.ndim == 1
-    l = geom.spec.params.l
-    if column.ndim > 2 or column.shape[0] != l:
-        raise ValueError(f"column must have {l} rows")
-    stacked = column.reshape(l, -1)
-    return stacked, stacked.shape[1], flat
-
-
-def _payload_out(arr: np.ndarray, flat: bool) -> np.ndarray:
-    return arr.reshape(arr.shape[0]) if flat and arr.shape[1] == 1 else arr
+def _inbox(
+    geom: _Geometry, rnd: int, receiver: int, senders: tuple[int, ...], received: Iterable
+) -> tuple[list[np.ndarray], set]:
+    """One (quota, stripes) payload per sender in order, and the set of their
+    shapes (one at most).  Each sender sends once, tagged with the cells its
+    sums cover: the receiver's in round 1, its own in round 2."""
+    msgs = received.values() if isinstance(received, Mapping) else received
+    by_sender: dict[int, RepairMessage] = {}
+    for msg in msgs:
+        if msg.round != rnd or msg.receiver != receiver or msg.sender not in senders:
+            raise ValueError(f"message {msg.round}:{msg.sender}->{msg.receiver} is not a "
+                             f"round-{rnd} message for node {receiver}")
+        if msg.sender in by_sender:
+            raise ValueError(f"duplicate round-{rnd} message from node {msg.sender}")
+        if not np.array_equal(msg.tags, geom.tag_array(receiver if rnd == 1 else msg.sender)):
+            raise ValueError(f"round-{rnd} tags from node {msg.sender} do not name its cells")
+        by_sender[msg.sender] = msg
+    if len(by_sender) != len(senders):
+        raise ValueError(f"need round-{rnd} messages from {senders}, got {sorted(by_sender)}")
+    shapes = {msg.payload.shape for msg in by_sender.values()}
+    if len(shapes) > 1:
+        raise ValueError(f"round-{rnd} payloads for node {receiver} differ in shape: {shapes}")
+    return [by_sender[j].payload.reshape(geom.quota, -1) for j in senders], shapes
 
 
 # ---- round 1 ----------------------------------------------------------------
 
 
 def _helper_message(geom: _Geometry, helper: int, failed: int, column: np.ndarray) -> RepairMessage:
-    col, _, flat = _as_stack(geom, column)
+    col = np.asarray(column, dtype=np.int64)
+    if col.ndim not in (1, 2) or col.shape[0] != geom.spec.params.l:
+        raise ValueError(f"column must have {geom.spec.params.l} rows")
     sums = geom.spec.field.sum(col[geom.cell_rows(failed)], axis=2)
-    payload = _payload_out(sums.reshape(geom.quota, -1), flat)
+    payload = sums.reshape((geom.quota,) + col.shape[1:])
     return RepairMessage(1, helper, failed, payload, geom.tag_array(failed))
 
 
@@ -327,84 +348,55 @@ def round1_helper_payload(
     return _helper_message(_Geometry(spec, ctx), helper, failed, column)
 
 
-def _index_payloads(
-    geom: _Geometry, failed: int, payloads: "Iterable[RepairMessage] | Mapping[int, RepairMessage]"
-) -> dict[int, np.ndarray]:
-    msgs = payloads.values() if isinstance(payloads, Mapping) else payloads
-    expect_tags = geom.tag_array(failed)
-    by_sender: dict[int, np.ndarray] = {}
-    for msg in msgs:
-        if msg.round != 1 or msg.receiver != failed:
-            raise ValueError(f"message {msg.round}:{msg.sender}->{msg.receiver} is not a round-1 "
-                             f"payload for node {failed}")
-        if msg.sender in by_sender:
-            raise ValueError(f"duplicate payload from helper {msg.sender}")
-        if not np.array_equal(msg.tags, expect_tags):
-            raise ValueError(f"payload tags from helper {msg.sender} do not match the context")
-        by_sender[msg.sender] = msg.payload.reshape(geom.quota, -1)
-    if tuple(sorted(by_sender)) != geom.ctx.helpers:
-        raise ValueError(f"need payloads from helpers {geom.ctx.helpers}, got {sorted(by_sender)}")
-    return by_sender
-
-
 def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
     """Per-cell points of node i's round-1 systems, shape (quota, r + d):
     node i's s entries, one per other failed node, one per idle node, then
     one per helper."""
     s, ctx = geom.s, geom.ctx
     cross = [ip for ip in ctx.failed if ip != i]
-    table = geom.node_table(i)
     npts = s + len(cross) + len(geom.idle) + ctx.d
     assert npts - ctx.d == geom.spec.params.r
 
+    rows = geom.cell_rows(i)
     pts = np.empty((geom.ninst, geom.ncls, npts), dtype=np.int64)
-    cls_base = geom.bases[:, None] + geom.stride * table[None, :, 0]
-    pts[:, :, :s] = geom.coeff[geom.bases[:, None] + geom.stride * table[None, 0, :], i - 1][
-        :, None, :
-    ]
+    # node i's coefficient depends on its own digit only, so class 0 serves all
+    pts[:, :, :s] = geom.coeff[rows[:, :1], i - 1]
     for idx, ip in enumerate(cross):
-        pts[:, :, s + idx] = geom.coeff[cls_base, ip - 1]
+        pts[:, :, s + idx] = geom.coeff[rows[:, :, 0], ip - 1]
     for idx, j in enumerate(geom.idle + ctx.helpers):
         pts[:, :, s + len(cross) + idx] = geom.coeff[geom.bases, j - 1][:, None]
     return pts.reshape(geom.quota, npts)
 
 
 def _round1_groups(geom: _Geometry, i: int) -> _RowGroups:
-    """The grouping of node i's round-1 points, kept with the code's
-    coefficient matrix so that a repeat repair of the same failed and helper
-    sets skips building and grouping the per-cell points."""
-    field, ctx = geom.spec.field, geom.ctx
-    return _derived(
-        geom.coeff,
+    """The grouping of node i's round-1 points, kept by the spec so that a
+    repeat repair of the same failed and helper sets skips building and
+    grouping the per-cell points."""
+    spec, ctx = geom.spec, geom.ctx
+    return spec._derived(
         ("round1", ctx.failed, ctx.helpers, i),
-        lambda: _RowGroups(field, _round1_points(geom, i)),
+        lambda: _RowGroups(spec.field, _round1_points(geom, i)),
     )
 
 
 def _solve_node(geom: _Geometry, i: int, payloads: Iterable[RepairMessage]) -> Round1State:
-    spec, ctx = geom.spec, geom.ctx
-    by_sender = _index_payloads(geom, i, payloads)
-    flat = all(p.shape[1] == 1 for p in by_sender.values())
-    s = geom.s
-    cross = [ip for ip in ctx.failed if ip != i]
+    spec, ctx, s = geom.spec, geom.ctx, geom.s
+    known, shapes = _inbox(geom, 1, i, ctx.helpers, payloads)
+    flat = shapes == {(geom.quota,)}
     r = spec.params.r
+    vals = _round1_groups(geom, i).complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
 
-    width = by_sender[ctx.helpers[0]].shape[1]
-    known = np.stack([by_sender[j] for j in ctx.helpers], axis=1)
-    vals = _round1_groups(geom, i).complete(r, np.arange(r, r + ctx.d), known)
-
-    l = spec.params.l
-    column = np.zeros((l, width), dtype=np.int64)
+    l, rows = spec.params.l, geom.cell_rows(i).reshape(geom.quota, s)
+    column = np.zeros((l, vals.shape[2]), dtype=np.int64)
+    column[rows] = vals[:, :s]
     filled = np.zeros(l, dtype=bool)
-    rows = geom.cell_rows(i)
-    column[rows] = vals[:, :s].reshape(geom.ninst, geom.ncls, s, width)
-    filled[rows.ravel()] = True
-    tags = geom.tag_array(i)
+    filled[rows] = True
+    cross = [ip for ip in ctx.failed if ip != i]
+    sums = vals[:, s:, 0] if flat else vals[:, s:]
     outgoing = tuple(
-        RepairMessage(2, i, ip, _payload_out(vals[:, s + idx], flat), tags)
-        for idx, ip in enumerate(cross)
+        RepairMessage(2, i, ip, sums[:, idx], geom.tag_array(i)) for idx, ip in enumerate(cross)
     )
-    return Round1State(i, column.reshape(l) if flat and width == 1 else column, filled, outgoing)
+    return Round1State(i, column[:, 0] if flat else column, filled, outgoing)
 
 
 def round1_solve(
@@ -430,43 +422,23 @@ def round1_solve(
 def _finish_column(
     geom: _Geometry, i: int, state: Round1State, received: Iterable[RepairMessage]
 ) -> np.ndarray:
-    field = geom.spec.field
-    expect = [ip for ip in geom.ctx.failed if ip != i]
-    by_sender: dict[int, RepairMessage] = {}
-    for msg in received:
-        if msg.round != 2 or msg.receiver != i:
-            raise ValueError(f"message {msg.round}:{msg.sender}->{msg.receiver} is not a round-2 "
-                             f"cross-sum for node {i}")
-        if msg.sender in by_sender:
-            raise ValueError(f"duplicate round-2 message from node {msg.sender}")
-        by_sender[msg.sender] = msg
-    if sorted(by_sender) != expect:
-        raise ValueError(f"need round-2 messages from {expect}, got {sorted(by_sender)}")
-
+    field, s = geom.spec.field, geom.s
+    senders = tuple(ip for ip in geom.ctx.failed if ip != i)
+    sums, shapes = _inbox(geom, 2, i, senders, received)
+    if shapes - {(geom.quota,) + state.column.shape[1:]}:
+        raise ValueError(f"round-2 payloads {shapes} do not fit state {state.column.shape}")
     l = geom.spec.params.l
     column = state.column.reshape(l, -1).copy()
     filled = state.filled.copy()
-    s, ca, stride = geom.s, geom.ca, geom.stride
-    for ip in expect:
-        msg = by_sender[ip]
-        table = geom.node_table(ip)
-        inv = np.full(ca, -1, dtype=np.int64)
-        inv[table[:, 0]] = np.arange(geom.ncls)
-        if (msg.tags[:, 1] != ip).any():
-            raise ValueError(f"round-2 tags from node {ip} vary the wrong node")
-        base = msg.tags[:, 0]
-        cls = inv[(base // stride) % ca]
-        if (cls < 0).any():
-            raise ValueError(f"round-2 tags from node {ip} are not class bases")
-        acc = msg.payload.reshape(len(base), -1)
+    for ip, acc in zip(senders, sums):
+        # each of ip's cells sums s rows; round 1 knew all but the digit-(s-1) one
+        rows = geom.cell_rows(ip).reshape(geom.quota, s)
         for u in range(s - 1):
-            rows_u = base + stride * (table[cls, u] - table[cls, 0])
-            if not filled[rows_u].all():
+            if not filled[rows[:, u]].all():
                 raise ValueError("round-1 state is missing entries the exchange relies on")
-            acc = field.sub(acc, column[rows_u])
-        target = base + stride * (table[cls, s - 1] - table[cls, 0])
-        column[target] = acc
-        filled[target] = True
+            acc = field.sub(acc, column[rows[:, u]])
+        column[rows[:, s - 1]] = acc
+        filled[rows[:, s - 1]] = True
     if not filled.all():
         raise ValueError("repair incomplete: rows remain uncovered")
     return column.reshape(state.column.shape)
@@ -482,10 +454,9 @@ def round2_exchange_and_finish(
     """Fold the cross-sums from the other failed nodes into the round-1
     state: subtracting the s-1 already-known entries of each sum isolates the
     row with digit s-1 at the sender's position, completing the column."""
-    geom = _Geometry(spec, ctx)
     if failed != state.node:
         raise ValueError("state belongs to a different node")
-    return _finish_column(geom, failed, state, received)
+    return _finish_column(_Geometry(spec, ctx), failed, state, received)
 
 
 # ---- full protocol ----------------------------------------------------------
@@ -543,13 +514,16 @@ def repair_columns(
     geom = _Geometry(spec, ctx)
     if sorted(helper_columns) != list(ctx.helpers):
         raise ValueError(f"need columns for helpers {ctx.helpers}, got {sorted(helper_columns)}")
+    shape = np.shape(helper_columns[ctx.helpers[0]])
+    for j, col in helper_columns.items():
+        if np.shape(col) != shape:
+            raise ValueError(f"helper {j}'s column has shape {np.shape(col)}, not {shape}")
     restored, messages, ledger = _run_rounds(
         geom, helper_columns, meter_round2=(mode == "cooperative")
     )
     coop, cent = _bounds(spec, ctx)
-    widths = {np.asarray(c).reshape(spec.params.l, -1).shape[1] for c in helper_columns.values()}
-    transcript = RepairTranscript(mode, tuple(messages), ledger, coop, cent, stripes=max(widths))
-    return restored, transcript
+    stripes = shape[1] if len(shape) == 2 else 1
+    return restored, RepairTranscript(mode, tuple(messages), ledger, coop, cent, stripes=stripes)
 
 
 def _repair_array(

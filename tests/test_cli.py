@@ -570,3 +570,37 @@ def test_header_parse_rejects_garbage():
     parsed, off = ShardHeader.parse(header.to_bytes() + b"payload")
     assert parsed == header
     assert header.to_bytes()[off:] == b""
+
+
+# ---- atomic writes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["encode", "repair", "decode"])
+def test_a_write_failing_halfway_leaves_nothing_under_the_final_name(tmp_path, monkeypatch, command):
+    from pathlib import Path
+
+    src, outdir, code = encode_default(tmp_path)
+    assert code == EXIT_OK
+    if command == "encode":
+        outdir = tmp_path / "fresh"
+        argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+        target, folder = outdir / "shard_001.cmds", outdir
+    elif command == "repair":
+        for name in ("shard_001.cmds", "shard_002.cmds"):
+            (outdir / name).unlink()
+        argv = ["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]
+        target, folder = outdir / "shard_001.cmds", outdir
+    else:
+        target, folder = tmp_path / "decoded.bin", tmp_path
+        argv = ["decode", str(outdir), str(target)]
+    before = set(folder.iterdir()) if folder.exists() else set()
+
+    def half_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    assert main(argv) == EXIT_IO
+    assert not target.exists()
+    assert set(folder.iterdir()) == before  # no temp file left behind either

@@ -331,3 +331,32 @@ def test_column_accessor():
         cw.column(0)
     with pytest.raises(ValueError):
         cw.column(6)
+
+
+# ---- the completion maps live with the spec ----------------------------------
+
+
+def test_one_spec_builds_one_grouping_of_its_coefficients(monkeypatch):
+    from coopmds.grs import _RowGroups
+
+    built = []
+    init = _RowGroups.__init__
+
+    def counting_init(self, field, points):
+        built.append(points.shape)
+        init(self, field, points)
+
+    monkeypatch.setattr(_RowGroups, "__init__", counting_init)
+    spec = make_code("any_subset", 5, 2, 2, 3, GF11)
+    data = np.random.default_rng(71).integers(0, 11, size=(spec.params.l, spec.params.k, 3))
+    parity = encode_parity(spec, data)
+    assert len(built) == 1
+    cells = np.concatenate([data, parity], axis=1)
+    for _ in range(2):
+        assert np.array_equal(encode_parity(spec, data), parity)
+        assert parity_witness(spec, cells) is None
+        assert np.array_equal(decode_cells(spec, [4, 5], cells[:, 3:]), cells)
+    assert built == [spec.coeff_matrix().shape]
+    # an equal spec built afresh keeps its own tables
+    assert np.array_equal(encode_parity(make_code("any_subset", 5, 2, 2, 3, GF11), data), parity)
+    assert len(built) == 2

@@ -166,7 +166,7 @@ def test_recover_batched_matches_per_system_elimination(spec, stripes):
         vals = rng.integers(0, f.order, size=shape)
         expect = _eliminate_each(f, points, parity, known_pos, vals)
         assert np.array_equal(recover_batched(f, points, parity, known_pos, vals), expect)
-        for _ in range(2):  # the second call reuses the cached grouping and map
+        for _ in range(2):  # a read-only array changes nothing: each call regroups
             assert np.array_equal(recover_batched(f, frozen, parity, known_pos, vals), expect)
         for b in (0, 17):
             col = vals[b].reshape(len(known_pos), -1)
@@ -192,3 +192,29 @@ def test_row_grouping_keeps_the_inverse_index_narrow():
         groups = _RowGroups(f, points)
         assert groups.inverse.dtype == dtype
         assert np.array_equal(groups.rows[groups.inverse], points)
+
+
+def test_grs_keeps_no_cache_of_its_own(monkeypatch):
+    import coopmds.grs as grs
+
+    state = [
+        name
+        for name, value in vars(grs).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert state == []
+    assert "threading" not in vars(grs) and "weakref" not in vars(grs)
+    built = []
+    init = _RowGroups.__init__
+
+    def counting_init(self, field, points):
+        built.append(points.shape)
+        init(self, field, points)
+
+    monkeypatch.setattr(_RowGroups, "__init__", counting_init)
+    f = make_field("prime", 13)
+    points = np.array([[1, 2, 3], [4, 5, 6]])
+    points.setflags(write=False)
+    for _ in range(2):
+        recover_batched(f, points, 1, [0, 1], np.array([[1, 2], [3, 4]]))
+    assert len(built) == 2

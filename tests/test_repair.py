@@ -523,3 +523,94 @@ def test_threads_sharing_a_geometry_get_one_cell_rows_array():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(seen) == 8 and all(rows is geom.cell_rows(5) for rows in seen)
+
+
+# ---- one inbox rule, one tags array per cell table ---------------------------
+
+
+def _round1_states(spec, ctx, cw):
+    return {i: round1_solve(spec, ctx, i, round1_messages(spec, ctx, cw, i)) for i in ctx.failed}
+
+
+def test_round2_rejects_mislabelled_cross_sums():
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    ctx = RepairContext((1, 3), (2, 4))
+    cw = random_codeword(spec, seed=53)
+    states = _round1_states(spec, ctx, cw)
+    (msg,) = states[3].outgoing  # node 3's cross-sums for node 1
+    assert np.array_equal(round2_exchange_and_finish(spec, ctx, 1, states[1], [msg]), cw.column(1))
+    wrong_node = msg.tags.copy()
+    wrong_node[:, 1] = 1
+    mislabelled = [
+        (RepairMessage(2, 3, 1, msg.payload, np.roll(msg.tags, 1, axis=0)), "tags"),  # rotated
+        (RepairMessage(2, 3, 1, msg.payload, wrong_node), "tags"),  # names node 1 as varied
+        (RepairMessage(2, 2, 1, msg.payload, msg.tags), "not a round-2"),  # 2 is a helper
+    ]
+    for bad, why in mislabelled:
+        with pytest.raises(ValueError, match=why):
+            round2_exchange_and_finish(spec, ctx, 1, states[1], [bad])
+
+
+def test_every_message_about_a_node_shares_its_tag_array():
+    from coopmds.repair import _Geometry, _run_rounds
+
+    spec = make_code("any_subset", 5, 2, 2, 3, GF11)
+    cw = random_codeword(spec, seed=59)
+    ctx = RepairContext((2, 5), (1, 3, 4))
+    geom = _Geometry(spec, ctx)
+    _, messages, _ = _run_rounds(geom, {j: cw.column(j) for j in ctx.helpers}, meter_round2=True)
+    assert {m.round for m in messages} == {1, 2}
+    for msg in messages:
+        varied = msg.receiver if msg.round == 1 else msg.sender
+        assert msg.tags is geom.tag_array(varied)
+    for i in ctx.failed:
+        tags = geom.tag_array(i)
+        assert not tags.flags.writeable
+        assert np.array_equal(tags[:, 0], geom.cell_rows(i)[:, :, 0].ravel())
+        assert (tags[:, 1] == i).all()
+
+
+def test_a_width_one_stripe_axis_is_kept_through_both_rounds():
+    from coopmds.repair import _Geometry, _run_rounds
+
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    cw = random_codeword(spec, seed=61)
+    ctx = RepairContext((1, 3), (2, 4))
+    l, quota = spec.params.l, spec.params.l // 3
+    for shape in ((l,), (l, 1)):
+        helpers = {j: cw.column(j).reshape(shape) for j in ctx.helpers}
+        restored, transcript = repair_columns(spec, ctx, helpers)
+        assert transcript.stripes == 1
+        for i in ctx.failed:
+            assert restored[i].shape == shape
+            assert np.array_equal(restored[i].reshape(l), cw.column(i))
+        _, messages, _ = _run_rounds(_Geometry(spec, ctx), helpers, meter_round2=True)
+        assert {m.payload.shape for m in messages} == {(quota,) + shape[1:]}
+
+
+def test_repair_columns_rejects_helper_columns_of_differing_shapes():
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    cw = random_codeword(spec, seed=67)
+    ctx = RepairContext((1, 3), (2, 4))
+    l = spec.params.l
+    wide = {2: np.tile(cw.column(2)[:, None], (1, 2)), 4: np.tile(cw.column(4)[:, None], (1, 3))}
+    with pytest.raises(ValueError, match="helper 4"):
+        repair_columns(spec, ctx, wide)
+    with pytest.raises(ValueError, match="helper 4"):
+        repair_columns(spec, ctx, {2: cw.column(2), 4: cw.column(4).reshape(l, 1)})
+
+
+def test_round2_rejects_cross_sums_whose_stripes_do_not_fit_the_state():
+    spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
+    ctx = RepairContext((1, 2), (3, 4, 5))
+    cws = [random_codeword(spec, seed=73 + w) for w in range(3)]
+    cols = {j: np.stack([cw.column(j) for cw in cws], axis=1) for j in range(1, 6)}
+    wide = [round1_helper_payload(spec, ctx, j, 1, cols[j]) for j in ctx.helpers]
+    st1 = round1_solve(spec, ctx, 1, wide)
+    # node 2 solved stripe 0 alone, so its cross-sums are 1-D
+    one = [round1_helper_payload(spec, ctx, j, 2, cols[j][:, 0]) for j in ctx.helpers]
+    st2 = round1_solve(spec, ctx, 2, one)
+    with pytest.raises(ValueError, match="do not fit"):
+        round2_exchange_and_finish(spec, ctx, 1, st1, st2.outgoing)
+    with pytest.raises(ValueError, match="do not fit"):
+        round2_exchange_and_finish(spec, ctx, 2, st2, st1.outgoing)

@@ -20,7 +20,6 @@ from coopmds.codespec import (
     CodeParams,
     CodeSpec,
     InadmissibleError,
-    MultiIndex,
     build_A,
     card_A,
     concat,
@@ -29,7 +28,7 @@ from coopmds.codespec import (
     subset_rank,
     universal_code,
 )
-from coopmds.field import Field, FieldSpec, enumerate_elements, make_field, smallest_field_spec
+from coopmds.field import Field, FieldSpec, make_field, smallest_field_spec
 from coopmds.grs import recover_batched, solve_batched
 from coopmds.repair import (
     BandwidthLedger,
@@ -55,7 +54,6 @@ __all__ = [
     "Field",
     "FieldSpec",
     "InadmissibleError",
-    "MultiIndex",
     "RepairContext",
     "RepairMessage",
     "RepairTranscript",
@@ -71,7 +69,6 @@ __all__ = [
     "cutset_cooperative",
     "decode_from_columns",
     "encode_systematic",
-    "enumerate_elements",
     "inject_and_sweep",
     "make_code",
     "make_field",

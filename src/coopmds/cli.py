@@ -166,7 +166,7 @@ def _write_shard(
 def _emit(doc: dict, out: "Path | None") -> None:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if out is not None:
-        out.write_text(text + "\n")
+        _write_atomic(out, (text + "\n").encode())
     print(text)
 
 
@@ -474,7 +474,7 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
                     )
     text = buf.getvalue()
     if out is not None:
-        out.write_text(text)
+        _write_atomic(out, text.encode())
     print(text, end="")
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from coopmds.repair import (
     RepairContext,
     _bounds,
     _fraction_json,
-    _Geometry,
+    _geometry,
     _run_rounds,
     centralized_repair_from_round1,
     cooperative_repair,
@@ -159,7 +159,7 @@ def _run_repair_event(
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         restored, messages, ledger = _run_rounds(
-            _Geometry(spec, ctx),
+            _geometry(spec, ctx),
             {j: nodes[j].column for j in ctx.helpers},
             meter_round2=(mode == "cooperative"),
             pool_map=pool.map if workers > 1 else map,

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from coopmds.field import Field, FieldSpec, enumerate_elements, make_field, smallest_field_spec
+from coopmds.field import Field, FieldSpec, make_field, smallest_field_spec
 
 DEFAULT_SUBPACKET_CAP = 2**24
 
@@ -87,19 +87,6 @@ class CodeParams:
     s: int | None
     l: int
     m: int | None
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A row label: h·m digits forming m blocks of h, block 1 stored first
-    (least significant)."""
-
-    digits: tuple[int, ...]
-
-    def blocks(self, h: int) -> tuple[tuple[int, ...], ...]:
-        if len(self.digits) % h:
-            raise ValueError("digit count not divisible by block size")
-        return tuple(self.digits[j : j + h] for j in range(0, len(self.digits), h))
 
 
 class CodeSpec:
@@ -168,11 +155,6 @@ class CodeSpec:
     # ---- row labels ---------------------------------------------------------
 
     @property
-    def _cardA(self) -> int:
-        assert self.family != "concatenated"
-        return card_A(self.params.h, self.params.s)
-
-    @property
     def A(self) -> np.ndarray:
         return self._derived("A", lambda: build_A(self.params.h, self.params.s))
 
@@ -195,45 +177,6 @@ class CodeSpec:
         if pos < 0:
             raise ValueError(f"block {tuple(block)} not in A")
         return pos
-
-    def multiindex(self, row: int) -> MultiIndex:
-        if not 0 <= row < self.params.l:
-            raise ValueError(f"row {row} out of range")
-        digits: list[int] = []
-        if self.family == "concatenated":
-            rest = row
-            for c in self.components:
-                rest, sub = divmod(rest, c.params.l)
-                digits.extend(c.multiindex(sub).digits)
-        else:
-            rest = row
-            for _ in range(self.params.m):
-                rest, pos = divmod(rest, self._cardA)
-                digits.extend(int(x) for x in self.A[pos])
-        return MultiIndex(tuple(digits))
-
-    def row_of(self, mi: MultiIndex) -> int:
-        if self.family == "concatenated":
-            row, scale = 0, 1
-            offset = 0
-            for c in self.components:
-                nd = c.params.h * c.params.m
-                sub = c.row_of(MultiIndex(mi.digits[offset : offset + nd]))
-                row += sub * scale
-                scale *= c.params.l
-                offset += nd
-            if offset != len(mi.digits):
-                raise ValueError("digit count mismatch")
-            return row
-        h = self.params.h
-        blocks = mi.blocks(h)
-        if len(blocks) != self.params.m:
-            raise ValueError("block count mismatch")
-        row, scale = 0, 1
-        for b in blocks:
-            row += self.apos_of(b) * scale
-            scale *= self._cardA
-        return row
 
     # ---- coefficients -------------------------------------------------------
 
@@ -267,14 +210,6 @@ class CodeSpec:
         out = self.lam[np.arange(self.params.n), masks]
         out.setflags(write=False)
         return out
-
-    def lambdas_flat(self) -> list[int]:
-        """All stored coefficients in assignment order."""
-        p = self.params
-        if self.family == "fixed_subset":
-            masked = [int(self.lam[i, j]) for i in range(p.h) for j in range(p.s)]
-            return masked + [int(self.lam[i, 0]) for i in range(p.h, p.n)]
-        return [int(v) for v in self.lam.ravel()]
 
     # ---- repair support -----------------------------------------------------
 
@@ -415,7 +350,7 @@ def make_code(
         raise InadmissibleError(
             f"field order {fobj.order} below required {need} for {family} n={n} h={h} d={d}"
         )
-    els = enumerate_elements(fobj, need)
+    els = list(range(need))
     if family == "fixed_subset":
         lam = np.zeros((n, s), dtype=np.int64)
         for i in range(h):
@@ -460,7 +395,7 @@ def concat(codes: Iterable[CodeSpec], *, subpacket_cap: int = DEFAULT_SUBPACKET_
     need = smax * n
     if fobj.order < need:
         raise InadmissibleError(f"field order {fobj.order} below required {need} for concatenation")
-    lam = np.asarray(enumerate_elements(fobj, need), dtype=np.int64).reshape(n, smax)
+    lam = np.arange(need, dtype=np.int64).reshape(n, smax)
     params = CodeParams(n=n, k=k, r=n - k, h=None, d=None, s=None, l=l, m=None)
     return CodeSpec("concatenated", params, fieldspec, lam, components=tuple(flat))
 

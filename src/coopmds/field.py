@@ -113,9 +113,8 @@ def _clmul_reduce(a: int, b: int, poly: int, w: int) -> int:
 class Field:
     """Arithmetic over a single finite field.
 
-    All methods are polymorphic in int vs. numpy array operands. Division and
-    inversion raise ZeroDivisionError on zero; ``pow`` follows the convention
-    0^0 = 1 so the t=0 parity row is all ones even when a coefficient is 0.
+    All methods are polymorphic in int vs. numpy array operands.  Inversion
+    raises ZeroDivisionError on zero.
 
     Array products are table lookups with no branches or masks: a full
     product table for fields of order <= 256, and for larger binary fields
@@ -266,22 +265,6 @@ class Field:
         q1 = self.order - 1
         return int(self._exp[(q1 - self._log[a]) % q1])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a, t: int):
-        """a^t by square-and-multiply; t is a non-negative plain integer."""
-        if t < 0:
-            raise ValueError("negative exponent")
-        result = np.ones_like(a) if isinstance(a, np.ndarray) else 1
-        base = a
-        while t:
-            if t & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            t >>= 1
-        return result
-
     def sum(self, arr: np.ndarray, axis=None):
         """Field sum along an axis (xor-reduce for binary, modular for prime)."""
         if self.spec.kind == "prime":
@@ -312,15 +295,6 @@ def make_field(spec: "FieldSpec | str", modulus: int | None = None) -> Field:
     if modulus is None:
         raise ValueError("modulus required when kind given as string")
     return _field_cached(spec, modulus)
-
-
-def enumerate_elements(field: Field, count: int) -> list[int]:
-    """First ``count`` elements in canonical ascending-value order."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if count > field.order:
-        raise ValueError(f"count {count} exceeds field order {field.order}")
-    return list(range(count))
 
 
 def smallest_field_spec(min_order: int) -> FieldSpec:

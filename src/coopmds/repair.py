@@ -17,13 +17,16 @@ s-1 at another failed position, which completes A.
 All of that is index arithmetic against spec.coeff_matrix(): fixed_subset
 codes have one instance, any_subset codes one per assignment of the other
 blocks, and concatenated codes one per assignment of the other components'
-digits as well.  Columns may carry a trailing stripe axis.  Each cell's
-points are passed once: the round-1 completion map is built once per
+digits as well.  The rows of a cell are affine in it: with the F-block's
+stride and span = |A|·stride, node i's cell (block b, class c, offset L)
+holds rows b·span + table_i[c, u]·stride + L.  So a column reshaped to
+(l // span, |A|, stride) and indexed by table_i on axis 1 yields every cell
+with no row-index array.  Columns may carry a trailing stripe axis.  Each
+cell's points are passed once: the round-1 completion map is built once per
 distinct point row and then applied to every cell and stripe that shares it,
-which is how whole-file repair stays fast.  The spec keeps the grouping of
-a failed node's cell points, so a repeat repair of the same failed and helper
-sets skips it; the geometry keeps each node's cell rows and the one tags
-array that every message about those cells shares.
+which is how whole-file repair stays fast.  The spec keeps one geometry per
+failed and helper set, and the grouping of each failed node's cell points,
+so a repeat repair of the same pattern rebuilds neither.
 """
 
 from __future__ import annotations
@@ -237,66 +240,57 @@ def _validate_context(spec: CodeSpec, ctx: RepairContext) -> tuple[CodeSpec, int
 
 
 class _Geometry:
-    """Row-index arithmetic for one (spec, ctx): instance bases, per-node
-    class/digit tables, and the shared stride of the F-block."""
+    """The cells of one (spec, ctx), built once per pattern by _geometry.
+    Node i's cell (block b, class c, offset L) holds rows b·span +
+    node_table[i][c, u]·stride + L, so each gather and scatter indexes axis 1
+    of blocks(col); tags[i] is the one read-only (base row, i) array that
+    every message about node i's cells shares."""
 
     def __init__(self, spec: CodeSpec, ctx: RepairContext):
         comp, scale = _validate_context(spec, ctx)
-        self.spec, self.ctx, self.comp = spec, ctx, comp
-        self.s, self.h = comp.params.s, comp.params.h
-        ca = card_A(self.h, self.s)
-        self.stride = scale * ca ** (subset_rank(ctx.failed) - 1)
-        l = spec.params.l
-        span = self.stride * ca
-        lo = np.arange(self.stride, dtype=np.int64)
-        hi = np.arange(l // span, dtype=np.int64) * span
-        self.bases = (hi[:, None] + lo[None, :]).ravel()
-        self.ninst = len(self.bases)
-        self.ncls = (self.s - 1) ** (self.h - 1)
-        self.quota = self.ninst * self.ncls
+        self.spec, self.ctx = spec, ctx
+        self.s, h = comp.params.s, comp.params.h
+        self.ca = card_A(h, self.s)
+        self.stride = scale * self.ca ** (subset_rank(ctx.failed) - 1)
+        self.nblk = spec.params.l // (self.ca * self.stride)
+        self.ncls = (self.s - 1) ** (h - 1)
+        self.quota = self.nblk * self.ncls * self.stride
         self.idle = tuple(
             sorted(set(range(1, spec.params.n + 1)) - set(ctx.failed) - set(ctx.helpers))
         )
-        self.coeff = spec.coeff_matrix()
-        self._tables: dict[int, np.ndarray] = {}
-        self._cells: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def node_table(self, i: int) -> np.ndarray:
-        """table[c, u] = A-position of the block with digit u at node i's
-        F-position and the class-c digits (all below s-1) elsewhere."""
-        if i not in self._tables:
-            z = self.ctx.failed.index(i) + 1
-            others = [p for p in range(1, self.h + 1) if p != z]
+        self.node_table: dict[int, np.ndarray] = {}
+        self.tags: dict[int, np.ndarray] = {}
+        for z, i in enumerate(ctx.failed):
+            # table[c, u] = A-position of the block with digit u at node i's
+            # F-position and the class-c digits (all below s-1) elsewhere
             table = np.empty((self.ncls, self.s), dtype=np.int64)
-            block = [0] * self.h
-            for c, b in enumerate(itertools.product(range(self.s - 1), repeat=self.h - 1)):
-                for pos, digit in zip(others, b):
-                    block[pos - 1] = digit
+            for c, b in enumerate(itertools.product(range(self.s - 1), repeat=h - 1)):
                 for u in range(self.s):
-                    block[z - 1] = u
-                    table[c, u] = self.comp.apos_of(block)
-            self._tables[i] = table
-        return self._tables[i]
-
-    def _node_cells(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """cell_rows(i) and tag_array(i), read-only and built once; of threads
-        that race, setdefault keeps the first pair."""
-        cells = self._cells.get(i)
-        if cells is None:
-            rows = self.bases[:, None, None] + self.stride * self.node_table(i)[None, :, :]
-            tags = np.stack([rows[:, :, 0].ravel(), np.full(self.quota, i, dtype=np.int64)], axis=1)
-            rows.setflags(write=False)
+                    table[c, u] = comp.apos_of(b[:z] + (u,) + b[z:])
+            base = (
+                np.arange(self.nblk, dtype=np.int64)[:, None, None] * (self.ca * self.stride)
+                + table[None, :, :1] * self.stride
+                + np.arange(self.stride, dtype=np.int64)
+            )
+            tags = np.stack([base.ravel(), np.full(self.quota, i, dtype=np.int64)], axis=1)
+            table.setflags(write=False)
             tags.setflags(write=False)
-            cells = self._cells.setdefault(i, (rows, tags))
-        return cells
+            self.node_table[i], self.tags[i] = table, tags
 
-    def cell_rows(self, i: int) -> np.ndarray:
-        """Absolute rows of node i's repair cells, shape (ninst, ncls, s)."""
-        return self._node_cells(i)[0]
+    def blocks(self, col: np.ndarray) -> np.ndarray:
+        """col (l[, stripes]) as (l // span, |A|, stride[, stripes]): axis 1 is
+        the A-position of the F-block."""
+        return col.reshape((self.nblk, self.ca, self.stride) + col.shape[1:])
 
-    def tag_array(self, i: int) -> np.ndarray:
-        """(base row, i) per cell: the tags of every message varying i's digit."""
-        return self._node_cells(i)[1]
+    def by_cell(self, vals: np.ndarray) -> np.ndarray:
+        """Per-cell vals (quota[, stripes]) as (l // span, ncls, stride[,
+        stripes]), the shape of blocks(col)[:, node_table[i][:, u]]."""
+        return vals.reshape((self.nblk, self.ncls, self.stride) + vals.shape[1:])
+
+
+def _geometry(spec: CodeSpec, ctx: RepairContext) -> _Geometry:
+    """The one geometry of this failed and helper set, kept by the spec."""
+    return spec._derived(("geometry", ctx.failed, ctx.helpers), lambda: _Geometry(spec, ctx))
 
 
 def _inbox(
@@ -313,7 +307,8 @@ def _inbox(
                              f"round-{rnd} message for node {receiver}")
         if msg.sender in by_sender:
             raise ValueError(f"duplicate round-{rnd} message from node {msg.sender}")
-        if not np.array_equal(msg.tags, geom.tag_array(receiver if rnd == 1 else msg.sender)):
+        expected = geom.tags[receiver if rnd == 1 else msg.sender]
+        if msg.tags is not expected and not np.array_equal(msg.tags, expected):
             raise ValueError(f"round-{rnd} tags from node {msg.sender} do not name its cells")
         by_sender[msg.sender] = msg
     if len(by_sender) != len(senders):
@@ -331,9 +326,9 @@ def _helper_message(geom: _Geometry, helper: int, failed: int, column: np.ndarra
     col = np.asarray(column, dtype=np.int64)
     if col.ndim not in (1, 2) or col.shape[0] != geom.spec.params.l:
         raise ValueError(f"column must have {geom.spec.params.l} rows")
-    sums = geom.spec.field.sum(col[geom.cell_rows(failed)], axis=2)
+    sums = geom.spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
     payload = sums.reshape((geom.quota,) + col.shape[1:])
-    return RepairMessage(1, helper, failed, payload, geom.tag_array(failed))
+    return RepairMessage(1, helper, failed, payload, geom.tags[failed])
 
 
 def round1_helper_payload(
@@ -345,7 +340,7 @@ def round1_helper_payload(
         raise ValueError(f"node {helper} is not a helper in this context")
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _helper_message(_Geometry(spec, ctx), helper, failed, column)
+    return _helper_message(_geometry(spec, ctx), helper, failed, column)
 
 
 def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
@@ -357,14 +352,15 @@ def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
     npts = s + len(cross) + len(geom.idle) + ctx.d
     assert npts - ctx.d == geom.spec.params.r
 
-    rows = geom.cell_rows(i)
-    pts = np.empty((geom.ninst, geom.ncls, npts), dtype=np.int64)
+    table, coeff = geom.node_table[i], geom.blocks(geom.spec.coeff_matrix())
+    pts = np.empty((geom.nblk, geom.ncls, geom.stride, npts), dtype=np.int64)
     # node i's coefficient depends on its own digit only, so class 0 serves all
-    pts[:, :, :s] = geom.coeff[rows[:, :1], i - 1]
+    pts[..., :s] = np.moveaxis(coeff[..., i - 1][:, table[0]], 1, 2)[:, None]
     for idx, ip in enumerate(cross):
-        pts[:, :, s + idx] = geom.coeff[rows[:, :, 0], ip - 1]
+        pts[..., s + idx] = coeff[..., ip - 1][:, table[:, 0]]
+    # the other nodes' coefficients are constant over the F-block
     for idx, j in enumerate(geom.idle + ctx.helpers):
-        pts[:, :, s + len(cross) + idx] = geom.coeff[geom.bases, j - 1][:, None]
+        pts[..., s + len(cross) + idx] = coeff[..., j - 1][:, :1]
     return pts.reshape(geom.quota, npts)
 
 
@@ -386,15 +382,16 @@ def _solve_node(geom: _Geometry, i: int, payloads: Iterable[RepairMessage]) -> R
     r = spec.params.r
     vals = _round1_groups(geom, i).complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
 
-    l, rows = spec.params.l, geom.cell_rows(i).reshape(geom.quota, s)
-    column = np.zeros((l, vals.shape[2]), dtype=np.int64)
-    column[rows] = vals[:, :s]
+    l, stripes, table = spec.params.l, vals.shape[2], geom.node_table[i]
+    column = np.zeros((l, stripes), dtype=np.int64)
     filled = np.zeros(l, dtype=bool)
-    filled[rows] = True
+    for u in range(s):
+        geom.blocks(column)[:, table[:, u]] = geom.by_cell(vals[:, u])
+    geom.blocks(filled)[:, table] = True
     cross = [ip for ip in ctx.failed if ip != i]
     sums = vals[:, s:, 0] if flat else vals[:, s:]
     outgoing = tuple(
-        RepairMessage(2, i, ip, sums[:, idx], geom.tag_array(i)) for idx, ip in enumerate(cross)
+        RepairMessage(2, i, ip, sums[:, idx], geom.tags[i]) for idx, ip in enumerate(cross)
     )
     return Round1State(i, column[:, 0] if flat else column, filled, outgoing)
 
@@ -413,7 +410,7 @@ def round1_solve(
     """
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _solve_node(_Geometry(spec, ctx), failed, payloads)
+    return _solve_node(_geometry(spec, ctx), failed, payloads)
 
 
 # ---- round 2 ----------------------------------------------------------------
@@ -430,15 +427,17 @@ def _finish_column(
     l = geom.spec.params.l
     column = state.column.reshape(l, -1).copy()
     filled = state.filled.copy()
+    cols, done = geom.blocks(column), geom.blocks(filled)
     for ip, acc in zip(senders, sums):
         # each of ip's cells sums s rows; round 1 knew all but the digit-(s-1) one
-        rows = geom.cell_rows(ip).reshape(geom.quota, s)
+        table = geom.node_table[ip]
+        acc = geom.by_cell(acc)
         for u in range(s - 1):
-            if not filled[rows[:, u]].all():
+            if not done[:, table[:, u]].all():
                 raise ValueError("round-1 state is missing entries the exchange relies on")
-            acc = field.sub(acc, column[rows[:, u]])
-        column[rows[:, s - 1]] = acc
-        filled[rows[:, s - 1]] = True
+            acc = field.sub(acc, cols[:, table[:, u]])
+        cols[:, table[:, s - 1]] = acc
+        done[:, table[:, s - 1]] = True
     if not filled.all():
         raise ValueError("repair incomplete: rows remain uncovered")
     return column.reshape(state.column.shape)
@@ -456,7 +455,7 @@ def round2_exchange_and_finish(
     row with digit s-1 at the sender's position, completing the column."""
     if failed != state.node:
         raise ValueError("state belongs to a different node")
-    return _finish_column(_Geometry(spec, ctx), failed, state, received)
+    return _finish_column(_geometry(spec, ctx), failed, state, received)
 
 
 # ---- full protocol ----------------------------------------------------------
@@ -511,7 +510,7 @@ def repair_columns(
     """
     if mode not in ("cooperative", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
-    geom = _Geometry(spec, ctx)
+    geom = _geometry(spec, ctx)
     if sorted(helper_columns) != list(ctx.helpers):
         raise ValueError(f"need columns for helpers {ctx.helpers}, got {sorted(helper_columns)}")
     shape = np.shape(helper_columns[ctx.helpers[0]])

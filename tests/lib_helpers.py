@@ -1,19 +1,100 @@
-"""Small forms of library operations that only the tests use: one
-Vandermonde system or erasure pattern at a time, one node and row of a code,
-and the index sets the repair argument is stated in.  Unlike oracles.py,
-these call library code.
+"""Small forms of library operations that only the tests use: field
+division and powers, one Vandermonde system or erasure pattern at a time, one
+node and row of a code, row labels as digit vectors, and the index sets the
+repair argument is stated in.  Unlike oracles.py, these call library code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from coopmds.codespec import CodeSpec, MultiIndex, build_A
+from coopmds.codespec import CodeSpec, build_A, card_A
 from coopmds.field import Field
 from coopmds.grs import recover_batched, solve_batched
+
+
+def field_div(field: Field, a, b):
+    return field.mul(a, field.inv(b))
+
+
+def field_pow(field: Field, a, t: int):
+    """a^t by square-and-multiply; t is a non-negative plain integer, and
+    0^0 = 1 so the t=0 parity row is all ones even when a coefficient is 0."""
+    if t < 0:
+        raise ValueError("negative exponent")
+    result = np.ones_like(a) if isinstance(a, np.ndarray) else 1
+    base = a
+    while t:
+        if t & 1:
+            result = field.mul(result, base)
+        base = field.mul(base, base)
+        t >>= 1
+    return result
+
+
+@dataclass(frozen=True)
+class MultiIndex:
+    """A row label: h·m digits forming m blocks of h, block 1 stored first
+    (least significant)."""
+
+    digits: tuple[int, ...]
+
+    def blocks(self, h: int) -> tuple[tuple[int, ...], ...]:
+        if len(self.digits) % h:
+            raise ValueError("digit count not divisible by block size")
+        return tuple(self.digits[j : j + h] for j in range(0, len(self.digits), h))
+
+
+def multiindex(spec: CodeSpec, row: int) -> MultiIndex:
+    if not 0 <= row < spec.params.l:
+        raise ValueError(f"row {row} out of range")
+    digits: list[int] = []
+    rest = row
+    if spec.family == "concatenated":
+        for c in spec.components:
+            rest, sub = divmod(rest, c.params.l)
+            digits.extend(multiindex(c, sub).digits)
+    else:
+        for _ in range(spec.params.m):
+            rest, pos = divmod(rest, card_A(spec.params.h, spec.params.s))
+            digits.extend(int(x) for x in spec.A[pos])
+    return MultiIndex(tuple(digits))
+
+
+def row_of(spec: CodeSpec, mi: MultiIndex) -> int:
+    if spec.family == "concatenated":
+        row, scale = 0, 1
+        offset = 0
+        for c in spec.components:
+            nd = c.params.h * c.params.m
+            sub = row_of(c, MultiIndex(mi.digits[offset : offset + nd]))
+            row += sub * scale
+            scale *= c.params.l
+            offset += nd
+        if offset != len(mi.digits):
+            raise ValueError("digit count mismatch")
+        return row
+    blocks = mi.blocks(spec.params.h)
+    if len(blocks) != spec.params.m:
+        raise ValueError("block count mismatch")
+    row, scale = 0, 1
+    for b in blocks:
+        row += spec.apos_of(b) * scale
+        scale *= card_A(spec.params.h, spec.params.s)
+    return row
+
+
+def lambdas_flat(spec: CodeSpec) -> list[int]:
+    """All stored coefficients in assignment order."""
+    p = spec.params
+    if spec.family == "fixed_subset":
+        masked = [int(spec.lam[i, j]) for i in range(p.h) for j in range(p.s)]
+        return masked + [int(spec.lam[i, 0]) for i in range(p.h, p.n)]
+    return [int(v) for v in spec.lam.ravel()]
 
 
 def _check_distinct(points: Sequence[int]) -> None:
@@ -117,7 +198,7 @@ def mask_f(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
     """Coefficient index of node i at row a (any-subset and concatenated)."""
     if spec.family == "fixed_subset":
         raise ValueError("fixed_subset nodes are masked by their own digit, not by f")
-    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
+    row = row_of(spec, a) if isinstance(a, MultiIndex) else int(a)
     if not 0 <= row < spec.params.l:
         raise ValueError(f"row {row} out of range")
     if not 1 <= i <= spec.params.n:
@@ -129,7 +210,17 @@ def row_coeff(spec: CodeSpec, i: int, a: "MultiIndex | int") -> int:
     """The λ multiplying c_{i,a} in every parity row t."""
     if not 1 <= i <= spec.params.n:
         raise ValueError(f"node {i} out of range")
-    row = spec.row_of(a) if isinstance(a, MultiIndex) else int(a)
+    row = row_of(spec, a) if isinstance(a, MultiIndex) else int(a)
     if not 0 <= row < spec.params.l:
         raise ValueError(f"row {row} out of range")
     return int(spec.coeff_matrix()[row, i - 1])
+
+
+def cell_rows(geom, i: int) -> np.ndarray:
+    """Absolute rows of failed node i's repair cells as an index array, shape
+    (quota, s) in cell order (block, class, offset): the formula base +
+    stride·node_table that the geometry's strided views stand in for."""
+    span = geom.ca * geom.stride
+    bases = np.arange(geom.nblk)[:, None] * span + np.arange(geom.stride)[None, :]
+    rows = bases[:, None, :, None] + geom.stride * geom.node_table[i][None, :, None, :]
+    return rows.reshape(geom.quota, geom.s)

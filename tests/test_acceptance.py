@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from lib_helpers import multiindex
 from oracles import (
     digits_of,
     dual_vandermonde_codewords,
@@ -251,7 +252,7 @@ def test_criterion_5_specialization_equivalences():
         if p.h != 2:
             continue
         order = np.array(
-            [a1 + p.s * a2 for a1, a2 in (spec.multiindex(r).digits for r in range(p.l))]
+            [a1 + p.s * a2 for a1, a2 in (multiindex(spec, r).digits for r in range(p.l))]
         )
         assert np.array_equal(spec.coeff_matrix(), _asj_matrix(spec)[order])
         asj_checked += 1

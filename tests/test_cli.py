@@ -575,7 +575,7 @@ def test_header_parse_rejects_garbage():
 # ---- atomic writes -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["encode", "repair", "decode"])
+@pytest.mark.parametrize("command", ["encode", "repair", "decode", "encode --out", "bench --out"])
 def test_a_write_failing_halfway_leaves_nothing_under_the_final_name(tmp_path, monkeypatch, command):
     from pathlib import Path
 
@@ -590,12 +590,25 @@ def test_a_write_failing_halfway_leaves_nothing_under_the_final_name(tmp_path, m
             (outdir / name).unlink()
         argv = ["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]
         target, folder = outdir / "shard_001.cmds", outdir
-    else:
+    elif command == "decode":
         target, folder = tmp_path / "decoded.bin", tmp_path
         argv = ["decode", str(outdir), str(target)]
+    else:
+        # the shards are written; only the report into its own folder fails
+        folder = tmp_path / "reports"
+        folder.mkdir()
+        target = folder / "report.out"
+        argv = command.split()[:1] + ["--out", str(target)]
+        if command.startswith("encode"):
+            argv[1:1] = [str(src), str(tmp_path / "fresh"), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+        else:
+            argv[1:1] = ["--sweep", "4:4"]
     before = set(folder.iterdir()) if folder.exists() else set()
+    write_bytes = Path.write_bytes
 
     def half_write(self, data):
+        if self.parent != folder:
+            return write_bytes(self, data)
         with open(self, "wb") as fh:
             fh.write(data[: len(data) // 2])
         raise OSError(28, "No space left on device")

@@ -12,7 +12,6 @@ from coopmds.codespec import (
     CodeParams,
     CodeSpec,
     InadmissibleError,
-    MultiIndex,
     build_A,
     card_A,
     concat,
@@ -22,7 +21,17 @@ from coopmds.codespec import (
     universal_code,
 )
 from coopmds.field import FieldSpec, make_field
-from lib_helpers import build_A0, build_Bi, mask_f, row_coeff, subset_unrank
+from lib_helpers import (
+    MultiIndex,
+    build_A0,
+    build_Bi,
+    lambdas_flat,
+    mask_f,
+    multiindex,
+    row_coeff,
+    row_of,
+    subset_unrank,
+)
 from oracles import indicator_mask, pair_digit_mask, pair_rank, parity_count_mask
 
 GF7 = FieldSpec("prime", 7)
@@ -198,7 +207,7 @@ def test_mask_f_validates_inputs():
 def test_row_coeff_fixed_subset():
     spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
     # λ assignment: masked (1,0),(1,1),(2,0),(2,1) then λ_3, λ_4, λ_5
-    assert spec.lambdas_flat() == [0, 1, 2, 3, 4, 5, 6]
+    assert lambdas_flat(spec) == [0, 1, 2, 3, 4, 5, 6]
     for row in range(spec.params.l):
         a1, a2 = spec.A[row]
         assert row_coeff(spec, 1, row) == a1
@@ -302,10 +311,10 @@ def test_make_code_h1_families():
 
 def test_lambda_counts_and_distinctness():
     fixed = make_code("fixed_subset", 6, 2, 3, 3, FieldSpec("prime", 11))
-    flat = fixed.lambdas_flat()
+    flat = lambdas_flat(fixed)
     assert len(flat) == 6 + 3 * 1 and len(set(flat)) == len(flat)
     any_spec = make_code("any_subset", 5, 2, 2, 3, FieldSpec("prime", 11))
-    flat = any_spec.lambdas_flat()
+    flat = lambdas_flat(any_spec)
     assert len(flat) == 10 and len(set(flat)) == len(flat)
 
 
@@ -396,16 +405,16 @@ def test_multiindex_round_trip(build):
     spec = build()
     step = max(1, spec.params.l // 257)
     for row in range(0, spec.params.l, step):
-        mi = spec.multiindex(row)
-        assert spec.row_of(mi) == row
+        mi = multiindex(spec, row)
+        assert row_of(spec, mi) == row
     with pytest.raises(ValueError):
-        spec.multiindex(spec.params.l)
+        multiindex(spec, spec.params.l)
 
 
 def test_multiindex_rejects_invalid_block():
     spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
     with pytest.raises(ValueError):
-        spec.row_of(MultiIndex((1, 1)))  # two digits equal to s-1
+        row_of(spec, MultiIndex((1, 1)))  # two digits equal to s-1
 
 
 def test_spec_serialization_round_trip():

@@ -11,10 +11,11 @@ from coopmds.field import (
     FieldSpec,
     _REDUCTION_POLY,
     _clmul_reduce,
-    enumerate_elements,
     make_field,
     smallest_field_spec,
 )
+from coopmds.codespec import InadmissibleError, make_code, universal_code
+from lib_helpers import field_div, field_pow, lambdas_flat
 from oracles import log_exp_tables
 
 SMALL_FIELDS = [
@@ -47,7 +48,7 @@ def test_axioms_exhaustive_small(spec):
         assert f.sub(a, a) == 0
         if a:
             assert f.mul(a, f.inv(a)) == 1
-            assert f.div(a, a) == 1
+            assert field_div(f, a, a) == 1
 
 
 @pytest.mark.parametrize("spec", [FieldSpec("prime", 257), FieldSpec("binary", 8)], ids=str)
@@ -136,30 +137,29 @@ def test_binary_exp_table_covers_all_nonzero(w):
 
 def test_pow_examples():
     f7 = make_field("prime", 7)
-    assert f7.pow(3, 2) == f7.mul(3, 3) == 2
+    assert field_pow(f7, 3, 2) == f7.mul(3, 3) == 2
     for spec in SMALL_FIELDS:
         f = make_field(spec)
         for a in range(f.order):
-            assert f.pow(a, 0) == 1  # includes 0^0 = 1
-            assert f.pow(a, 1) == a
-            assert f.pow(a, 5) == f.mul(a, f.mul(a, f.mul(a, f.mul(a, a))))
+            assert field_pow(f, a, 0) == 1  # includes 0^0 = 1
+            assert field_pow(f, a, 1) == a
+            assert field_pow(f, a, 5) == f.mul(a, f.mul(a, f.mul(a, f.mul(a, a))))
 
 
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        make_field("prime", 7).pow(3, -1)
+        field_pow(make_field("prime", 7), 3, -1)
 
 
 def test_enumerate_elements():
-    f7 = make_field("prime", 7)
-    assert enumerate_elements(f7, 3) == [0, 1, 2]
-    f256 = make_field("binary", 8)
-    all256 = enumerate_elements(f256, 256)
-    assert len(set(all256)) == 256
-    with pytest.raises(ValueError):
-        enumerate_elements(make_field("prime", 5), 6)
-    with pytest.raises(ValueError):
-        enumerate_elements(f7, 0)
+    # codes take the first min_field_order elements in ascending value order
+    assert lambdas_flat(make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("prime", 7))) == list(range(7))
+    uni = universal_code(4, 1, FieldSpec("binary", 8))
+    assert uni.lam.ravel().tolist() == list(range(12))
+    with pytest.raises(InadmissibleError):
+        make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("prime", 5))
+    with pytest.raises(InadmissibleError):
+        universal_code(4, 1, FieldSpec("prime", 11))
 
 
 def test_field_spec_validation():
@@ -194,7 +194,7 @@ def test_zero_division():
         with pytest.raises(ZeroDivisionError):
             f.inv(0)
         with pytest.raises(ZeroDivisionError):
-            f.div(3, 0)
+            field_div(f, 3, 0)
         with pytest.raises(ZeroDivisionError):
             f.inv(np.array([1, 0, 2]))
 
@@ -210,18 +210,18 @@ def test_array_ops_match_scalar(spec):
         "add": f.add(a, b),
         "sub": f.sub(a, b),
         "mul": f.mul(a, b),
-        "div": f.div(a, bnz),
+        "div": field_div(f, a, bnz),
         "neg": f.neg(a),
-        "pow3": f.pow(a, 3),
+        "pow3": field_pow(f, a, 3),
     }
     for i in range(len(a)):
         ai, bi, bz = int(a[i]), int(b[i]), int(bnz[i])
         assert int(vec["add"][i]) == f.add(ai, bi)
         assert int(vec["sub"][i]) == f.sub(ai, bi)
         assert int(vec["mul"][i]) == f.mul(ai, bi)
-        assert int(vec["div"][i]) == f.div(ai, bz)
+        assert int(vec["div"][i]) == field_div(f, ai, bz)
         assert int(vec["neg"][i]) == f.neg(ai)
-        assert int(vec["pow3"][i]) == f.pow(ai, 3)
+        assert int(vec["pow3"][i]) == field_pow(f, ai, 3)
     assert f.sum(a) == _fold(f, a)
     m = a.reshape(50, 10)
     bycol = f.sum(m, axis=0)

@@ -9,7 +9,7 @@ import pytest
 
 from coopmds.field import make_field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
-from lib_helpers import grs_erasure_recover, solve_vandermonde, vandermonde_matrix
+from lib_helpers import field_pow, grs_erasure_recover, solve_vandermonde, vandermonde_matrix
 from oracles import dual_vandermonde_codewords
 
 
@@ -142,7 +142,7 @@ def _eliminate_each(f, points, parity, known_pos, vals):
     mats = np.empty((nsys, nstripes, parity, parity), dtype=np.int64)
     rhs = np.empty((nsys, nstripes, parity), dtype=np.int64)
     for t in range(parity):
-        pw = f.pow(points, t)
+        pw = field_pow(f, points, t)
         mats[:, :, t, :] = pw[:, None, unknown]
         rhs[:, :, t] = f.neg(f.sum(f.mul(pw[:, None, known_pos], stripes), axis=2))
     sol = solve_batched(f, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))

@@ -25,6 +25,8 @@ from coopmds.repair import (
     round2_exchange_and_finish,
 )
 
+from lib_helpers import cell_rows
+
 GF7 = FieldSpec("prime", 7)
 GF11 = FieldSpec("prime", 11)
 GF13 = FieldSpec("prime", 13)
@@ -475,27 +477,30 @@ def test_concurrent_repairs_share_one_round1_grouping():
     assert len(seen) == 8 and all(g is seen[0] for g in seen)
 
 
-def test_geometry_builds_cell_rows_once():
-    from coopmds.repair import _Geometry
+def test_geometry_builds_node_tables_and_tags_once():
+    from coopmds.repair import _geometry
 
     spec = make_code("any_subset", 4, 1, 2, 2, GF13)
-    geom = _Geometry(spec, RepairContext((1, 3), (2, 4)))
-    rows = geom.cell_rows(1)
-    assert geom.cell_rows(1) is rows
-    assert np.array_equal(rows, geom.bases[:, None, None] + geom.stride * geom.node_table(1)[None])
-    assert geom.cell_rows(3) is not rows
+    ctx = RepairContext((1, 3), (2, 4))
+    geom = _geometry(spec, ctx)
+    assert _geometry(spec, RepairContext((3, 1), (4, 2))) is geom
+    assert _geometry(spec, RepairContext((1, 2), (3, 4))) is not geom
+    for i in ctx.failed:
+        assert not geom.node_table[i].flags.writeable and not geom.tags[i].flags.writeable
+        assert np.array_equal(geom.tags[i][:, 0], cell_rows(geom, i)[:, 0])
+        assert (geom.tags[i][:, 1] == i).all()
+    assert not np.array_equal(geom.node_table[1], geom.node_table[3])
 
 
-def test_threads_sharing_a_geometry_get_one_cell_rows_array():
+def test_threads_repairing_one_pattern_share_one_geometry():
     import sys
     import threading
 
-    from coopmds.repair import _Geometry, _run_rounds
+    from coopmds.repair import _geometry, _run_rounds
 
     spec = make_code("any_subset", 5, 2, 2, 3, GF11)
     cw = random_codeword(spec, seed=47)
     ctx = RepairContext((2, 5), (1, 3, 4))
-    geom = _Geometry(spec, ctx)
     helpers = {j: cw.column(j) for j in ctx.helpers}
     seen, errors = [], []
     start = threading.Barrier(8, timeout=60)
@@ -503,7 +508,8 @@ def test_threads_sharing_a_geometry_get_one_cell_rows_array():
     def work():
         try:
             start.wait()
-            seen.append(geom.cell_rows(5))
+            geom = _geometry(spec, ctx)
+            seen.append(geom)
             restored, _, _ = _run_rounds(geom, helpers, meter_round2=True)
             if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
                 errors.append("wrong column")
@@ -522,7 +528,77 @@ def test_threads_sharing_a_geometry_get_one_cell_rows_array():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(seen) == 8 and all(rows is geom.cell_rows(5) for rows in seen)
+    assert len(seen) == 8 and all(geom is _geometry(spec, ctx) for geom in seen)
+
+
+def _view_cases():
+    """ncls = 2 with stride 1, then stride 3, then stride 48 behind a first component."""
+    pair = [make_code("any_subset", 4, 1, h, 2, GF13) for h in (1, 2)]
+    return [
+        (make_code("fixed_subset", 6, 2, 2, 4, GF11), RepairContext((1, 2), (3, 4, 5, 6))),
+        (pair[1], RepairContext((1, 3), (2, 4))),
+        (concat(pair), RepairContext((1, 3), (2, 4))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_strided_views_gather_and_scatter_the_cell_rows(case):
+    from coopmds.repair import _geometry, _helper_message
+
+    spec, ctx = _view_cases()[case]
+    geom = _geometry(spec, ctx)
+    l, s = spec.params.l, geom.s
+    assert (geom.ncls, geom.stride > 1) == [(2, False), (1, True), (1, True)][case]
+    rng = np.random.default_rng(71 + case)
+    for shape in ((l,), (l, 3)):
+        col = rng.integers(0, spec.field.order, size=shape)
+        for i in ctx.failed:
+            rows, table = cell_rows(geom, i), geom.node_table[i]
+            gathered = geom.blocks(col)[:, table]  # (block, class, u, offset[, stripes])
+            assert np.array_equal(np.moveaxis(gathered, 2, 3).reshape(rows.shape + shape[1:]), col[rows])
+            msg = _helper_message(geom, ctx.helpers[0], i, col)
+            assert np.array_equal(msg.payload, spec.field.sum(col[rows], axis=1))
+            for u in range(s):
+                vals = rng.integers(0, spec.field.order, size=(geom.quota,) + shape[1:])
+                by_view, by_index = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+                geom.blocks(by_view)[:, table[:, u]] = geom.by_cell(vals)
+                by_index[rows[:, u]] = vals
+                assert np.array_equal(by_view, by_index)
+
+
+def test_views_restore_a_concatenated_code_with_a_wide_stride():
+    spec, ctx = _view_cases()[2]
+    cw = random_codeword(spec, seed=79)
+    for mode in ("cooperative", "centralized"):
+        restored, transcript = repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers}, mode=mode)
+        assert all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed)
+        assert_ledger_shape(transcript, ctx, spec)
+
+
+def test_one_pattern_builds_one_geometry(monkeypatch):
+    import coopmds.repair as repair_module
+    from coopmds.cluster import ClusterConfig, run_scenario
+
+    built = []
+
+    class Counted(repair_module._Geometry):
+        def __init__(self, spec, ctx):
+            built.append(ctx)
+            super().__init__(spec, ctx)
+
+    monkeypatch.setattr(repair_module, "_Geometry", Counted)
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    cw = random_codeword(spec, seed=83)
+    ctx = RepairContext((1, 3), (2, 4))
+    helpers = {j: cw.column(j) for j in ctx.helpers}
+    for _ in range(2):
+        repair_columns(spec, ctx, helpers)
+    states = _round1_states(spec, ctx, cw)
+    (msg,) = states[3].outgoing
+    assert np.array_equal(round2_exchange_and_finish(spec, ctx, 1, states[1], [msg]), cw.column(1))
+    events = ({"type": "fail", "nodes": [1, 3]}, {"type": "repair", "helpers": [2, 4]}, {"type": "verify"})
+    assert run_scenario(ClusterConfig(spec, 5, events), workers=2).verified
+    assert built == [ctx]
 
 
 # ---- one inbox rule, one tags array per cell table ---------------------------
@@ -552,22 +628,40 @@ def test_round2_rejects_mislabelled_cross_sums():
 
 
 def test_every_message_about_a_node_shares_its_tag_array():
-    from coopmds.repair import _Geometry, _run_rounds
+    from coopmds.repair import _geometry, _run_rounds
 
     spec = make_code("any_subset", 5, 2, 2, 3, GF11)
     cw = random_codeword(spec, seed=59)
     ctx = RepairContext((2, 5), (1, 3, 4))
-    geom = _Geometry(spec, ctx)
+    geom = _geometry(spec, ctx)
     _, messages, _ = _run_rounds(geom, {j: cw.column(j) for j in ctx.helpers}, meter_round2=True)
+    states = _round1_states(spec, ctx, cw)
+    messages += [m for st in states.values() for m in st.outgoing]
+    messages.append(round1_helper_payload(spec, ctx, 1, 2, cw.column(1)))
     assert {m.round for m in messages} == {1, 2}
     for msg in messages:
         varied = msg.receiver if msg.round == 1 else msg.sender
-        assert msg.tags is geom.tag_array(varied)
+        assert msg.tags is geom.tags[varied]
     for i in ctx.failed:
-        tags = geom.tag_array(i)
+        tags = geom.tags[i]
         assert not tags.flags.writeable
-        assert np.array_equal(tags[:, 0], geom.cell_rows(i)[:, :, 0].ravel())
+        assert np.array_equal(tags[:, 0], cell_rows(geom, i)[:, 0])
         assert (tags[:, 1] == i).all()
+
+
+def test_inbox_accepts_an_equal_copy_of_the_tags():
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    ctx = RepairContext((1, 3), (2, 4))
+    cw = random_codeword(spec, seed=89)
+    copied = [
+        RepairMessage(1, m.sender, 1, m.payload, m.tags.copy())
+        for m in round1_messages(spec, ctx, cw, 1)
+    ]
+    assert all(not np.shares_memory(c.tags, m.tags) for c, m in zip(copied, round1_messages(spec, ctx, cw, 1)))
+    state = round1_solve(spec, ctx, 1, copied)
+    (msg,) = _round1_states(spec, ctx, cw)[3].outgoing
+    msg = RepairMessage(2, 3, 1, msg.payload, msg.tags.copy())
+    assert np.array_equal(round2_exchange_and_finish(spec, ctx, 1, state, [msg]), cw.column(1))
 
 
 def test_a_width_one_stripe_axis_is_kept_through_both_rounds():

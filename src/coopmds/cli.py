@@ -18,11 +18,16 @@ Symbols are one byte when the field order is at most 256, two bytes
 otherwise.  A stripe holds k*l data symbols taken from the file in order,
 zero-padded at the end; shard i stores row coordinate i of every stripe.
 
-repair, decode and verify read shards through one loader that checks each
-file once and keeps its symbols narrow; only the shards a command computes
-with are widened to int64, for the codec's striped kernels or repair.  Every
-shard and decoded file is written under a hidden temp name and renamed into
-place, so a failed write never leaves a partial file under the final name.
+Symbols stay narrow (uint8 or uint16) from read to write.  encode views the
+padded file as (stripes, l, k) and decode, verify and repair view each shard
+as (stripes, l); the codec's striped kernels and repair take these views and
+return narrow columns, laid out as shard payloads.  (A file of fewer stripes
+than distinct point rows times the field order takes the kernels' gather
+path, whose per-term products are int64.)  repair, decode and verify read
+shards through one loader that checks each file once.
+Every shard and decoded file is written under a hidden temp name and renamed
+into place, so a failed write never leaves a partial file under the final
+name.
 
 Exit codes: 0 success, 2 inadmissible parameters or malformed input,
 3 verification failure (checksum, parity, or corrupt shard), 4 I/O error.
@@ -119,16 +124,17 @@ def _symbol_width(order: int) -> int:
 
 def _bytes_to_symbols(raw: "bytes | memoryview", order: int) -> np.ndarray:
     """A read-only view of raw as uint8 or little-endian uint16 symbols."""
-    if _symbol_width(order) == 1:
-        return np.frombuffer(raw, dtype=np.uint8)
-    if len(raw) % 2:
+    if len(raw) % _symbol_width(order):
         raise ShardFormatError("odd payload length for two-byte symbols")
-    return np.frombuffer(raw, dtype="<u2")
+    return np.frombuffer(raw, dtype=_symbols_dtype(order))
+
+
+def _symbols_dtype(order: int) -> np.dtype:
+    return np.dtype(np.uint8 if _symbol_width(order) == 1 else "<u2")
 
 
 def _symbols_to_bytes(arr: np.ndarray, order: int) -> bytes:
-    dtype = np.uint8 if _symbol_width(order) == 1 else np.dtype("<u2")
-    return np.ascontiguousarray(arr, dtype=dtype).tobytes()
+    return np.asarray(arr, dtype=_symbols_dtype(order)).tobytes()
 
 
 def _shard_name(node: int) -> str:
@@ -141,7 +147,7 @@ def _field_from_order(order: int) -> FieldSpec:
     return FieldSpec("prime", order)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, data: "bytes | memoryview") -> None:
     """Write data under a hidden sibling name (not matched by ``shard_*.cmds``)
     and rename it into place: a failed write leaves nothing under path."""
     tmp = path.with_name(f".{path.name}.tmp")
@@ -195,26 +201,24 @@ def cmd_encode(
     orig_len = len(raw)
     spec = make_code(family, n, k, h, d, _field_from_order(field_order))
     order = spec.field.order
-    if _symbol_width(order) == 2 and len(raw) % 2:
-        raw += b"\x00"
-    symbols = _bytes_to_symbols(raw, order)
-    if symbols.size and int(symbols.max()) >= order:
-        raise InadmissibleError(
-            f"input symbol {int(symbols.max())} is outside GF({order}); pick a larger field"
-        )
     p = spec.params
-    per_stripe = p.k * p.l
-    stripes = -(-symbols.size // per_stripe)
-    padded = np.zeros(stripes * per_stripe, dtype=np.int64)
-    padded[: symbols.size] = symbols
-    data = padded.reshape(stripes, p.l, p.k).transpose(1, 2, 0)
-    parity = encode_parity(spec, data)
+    width = _symbol_width(order)
+    stripes = -(-orig_len // (width * p.k * p.l))
+    # the file zero-padded to whole stripes (an odd byte to a whole symbol)
+    padded = bytearray(stripes * p.k * p.l * width)
+    padded[:orig_len] = raw
+    data = _bytes_to_symbols(padded, order).reshape(stripes, p.l, p.k)
+    if order < 1 << (8 * width) and int(data.max()) >= order:
+        raise InadmissibleError(
+            f"input symbol {int(data.max())} is outside GF({order}); pick a larger field"
+        )
+    parity = encode_parity(spec, data.transpose(1, 2, 0))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
     for node in range(1, p.n + 1):
-        column = data[:, node - 1] if node <= p.k else parity[:, node - 1 - p.k]
-        names.append(_write_shard(out_dir, spec, node, stripes, orig_len, column.T))
+        column = data[:, :, node - 1] if node <= p.k else parity[:, node - 1 - p.k].T
+        names.append(_write_shard(out_dir, spec, node, stripes, orig_len, column))
     _emit(
         {
             "shards": names,
@@ -293,14 +297,10 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
         yield _Shard(path.name, header, symbols.reshape(header.stripes, l))
 
 
-def _widen(shards: Sequence[_Shard]) -> np.ndarray:
-    """The shards' symbols as int64 cells (l, len(shards), stripes), with
-    one transpose-and-widen copy per shard."""
-    header = shards[0].header
-    cells = np.empty((header.spec.params.l, len(shards), header.stripes), dtype=np.int64)
-    for j, shard in enumerate(shards):
-        cells[:, j] = shard.symbols.T
-    return cells
+def _stack(shards: Sequence[_Shard]) -> np.ndarray:
+    """The shards' symbols as narrow cells (l, len(shards), stripes): a view
+    of one contiguous copy laid out shard by shard."""
+    return np.stack([shard.symbols for shard in shards]).transpose(2, 0, 1)
 
 
 # ---- repair ------------------------------------------------------------------
@@ -321,7 +321,7 @@ def cmd_repair(
     shards = [shard.require() for shard in _load_shards(shard_dir, ctx.helpers)]
     reference = shards[0].header
     spec = reference.spec
-    columns = dict(zip(ctx.helpers, _widen(shards).swapaxes(0, 1)))
+    columns = {node: shard.symbols.T for node, shard in zip(ctx.helpers, shards)}
     restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
     names = [
         _write_shard(shard_dir, spec, node, reference.stripes, reference.orig_len, restored[node].T)
@@ -350,10 +350,10 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
         # shards 1..k hold the data symbols themselves: no arithmetic
         data = np.stack([shards[i].symbols for i in use], axis=2)
     else:
-        cells = decode_cells(spec, use, _widen([shards[i] for i in use]))
-        data = cells[:, : p.k].transpose(2, 0, 1)
+        cells = decode_cells(spec, use, _stack([shards[i] for i in use]))
+        data = np.stack([cells[:, j].T for j in range(p.k)], axis=2)
 
-    blob = _symbols_to_bytes(data, spec.field.order)
+    blob = memoryview(data.astype(_symbols_dtype(spec.field.order), copy=False)).cast("B")
     _write_atomic(output, blob[: reference.orig_len])
     _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
     return EXIT_OK
@@ -382,7 +382,9 @@ def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
         if missing:
             ok = False
         elif ok:
-            witness = parity_witness(spec, _widen([good[node] for node in range(1, n + 1)]))
+            cells = _stack([good[node] for node in range(1, n + 1)])
+            good.clear()  # the stacked copy replaces the shards' buffers
+            witness = parity_witness(spec, cells)
             if witness is None:
                 report["parity"] = {"ok": True}
             else:

@@ -159,6 +159,7 @@ def _run_repair_event(
     pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
     with pool:
         restored, messages, ledger = _run_rounds(
+            spec,
             _geometry(spec, ctx),
             {j: nodes[j].column for j in ctx.helpers},
             meter_round2=(mode == "cooperative"),

@@ -14,7 +14,9 @@ first failing check.
 
 The striped kernels ``encode_parity``, ``decode_cells`` and ``parity_witness``
 take columns of l rows with an optional trailing stripe axis (the CLI's
-whole files); the ``CodewordArray`` functions below wrap them.
+whole files) and keep their input's integer dtype: the CLI's uint8 or uint16
+symbols stay narrow end to end, and int64 stays int64.  The
+``CodewordArray`` functions below wrap them and hold int64 cells.
 """
 
 from __future__ import annotations
@@ -96,7 +98,11 @@ def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.
     p = spec.params
     known_pos = np.asarray(nodes, dtype=np.int64) - 1
     rest = _coeff_groups(spec).complete(p.r, known_pos, known)
-    cells = np.empty((p.l, p.n) + rest.shape[2:], dtype=np.int64)
+    if rest.ndim == 3:
+        # node-major like rest, so each column is one (stripes, l) block
+        cells = np.empty((p.n, rest.shape[2], p.l), dtype=rest.dtype).transpose(2, 0, 1)
+    else:
+        cells = np.empty((p.l, p.n), dtype=rest.dtype)
     cells[:, known_pos] = known
     cells[:, np.setdiff1d(np.arange(p.n), known_pos)] = rest
     return cells
@@ -145,13 +151,16 @@ def parity_witness(spec: CodeSpec, cells: np.ndarray) -> "tuple[int, int] | None
     p = spec.params
     field = spec.field
     coeff = spec.coeff_matrix()
-    cells = np.asarray(cells, dtype=np.int64)
-    parity = encode_parity(spec, cells[:, : p.k])
-    differs = (parity != cells[:, p.k :]).reshape(p.l, -1).any(axis=1)
-    bad = np.flatnonzero(differs)
-    if not bad.size:
+    cells = np.asarray(cells)
+    if cells.dtype.kind not in "ui":
+        cells = cells.astype(np.int64)
+    cells = cells.reshape(p.l, p.n, -1)
+    differs = encode_parity(spec, cells[:, : p.k]) != cells[:, p.k :]
+    if not differs.any():
         return None
-    sub, points = cells[bad].reshape(len(bad), p.n, -1), coeff[bad]
+    bad = np.flatnonzero(differs.any(axis=(1, 2)))
+    # a stripe whose parity matches in every row passes every check
+    sub, points = cells[bad][:, :, differs.any(axis=(0, 1))], coeff[bad]
     pw = np.ones_like(points)
     for t in range(p.r):
         checks = field.sum(field.mul(pw[:, :, None], sub), axis=1)

@@ -2,8 +2,11 @@
 
 Symbols are plain integers in ``[0, order)``; prime fields interpret them as
 residues, binary fields as polynomial-basis bit vectors.  Every operation
-accepts either a scalar int or a numpy integer array and returns the same
-shape, so callers can run row-parallel arithmetic without a separate API.
+accepts either a scalar int or a numpy integer array of any integer dtype and
+returns the same shape, so callers can run row-parallel arithmetic without a
+separate API.  ``scale_table`` is the one narrow entry point: the products
+c·x for every x, in the field's symbol dtype (``symbol_dtype``: uint8 up to
+order 256, uint16 above), for kernels that keep symbols narrow.
 
 The element enumeration 0, 1, 2, ... is the canonical order used everywhere a
 construction asks for "distinct field elements"; it is deterministic across
@@ -135,6 +138,7 @@ class Field:
             self._w = spec.modulus
             self._poly = _REDUCTION_POLY[self._w]
             self._build_log_tables()
+        self.symbol_dtype = np.dtype(np.uint8 if self.order <= 256 else np.uint16)
         self._product: np.ndarray | None = None
         if self.order <= 256:
             self._build_product_table()
@@ -219,23 +223,27 @@ class Field:
         elems = np.arange(q, dtype=np.int64)
         table = np.zeros((q, 1 << self._product_shift), dtype=np.uint8)
         table[:, :q] = self.mul(elems[:, None], elems[None, :])
+        table.setflags(write=False)
         self._product = table.ravel()
 
     # ---- basic operations ----------------------------------------------
+    #
+    # Prime-field operands are widened to int64 first: a sum or product of
+    # two uint8 or uint16 residues can wrap in its own dtype.
 
     def add(self, a, b):
         if self.spec.kind == "prime":
-            return (a + b) % self._p
+            return (_wide(a) + _wide(b)) % self._p
         return a ^ b
 
     def sub(self, a, b):
         if self.spec.kind == "prime":
-            return (a - b) % self._p
+            return (_wide(a) - _wide(b)) % self._p
         return a ^ b
 
     def neg(self, a):
         if self.spec.kind == "prime":
-            return (-a) % self._p
+            return (-_wide(a)) % self._p
         return a
 
     def mul(self, a, b):
@@ -245,10 +253,26 @@ class Field:
             b = np.asarray(b, dtype=np.int64)
             return self._product[(a << self._product_shift) | b].astype(np.int64)
         if self.spec.kind == "prime":
-            return (a * b) % self._p
+            return (_wide(a) * _wide(b)) % self._p
         # zero operands hit the sentinel log and land in exp's zero tail
         out = self._exp[self._log[a] + self._log[b]]
         return out if isinstance(out, np.ndarray) else int(out)
+
+    def scale_table(self, c: int) -> np.ndarray:
+        """The read-only row x -> c·x for x = 0..order-1, in ``symbol_dtype``,
+        for per-constant lookups (Plank, Greenan and Miller, FAST 2013).  It
+        has exactly ``order`` entries, so looking up a symbol outside the
+        field raises IndexError instead of reading another product.
+        """
+        c = int(c)
+        if not 0 <= c < self.order:
+            raise ValueError(f"{c} is not an element of {self!r}")
+        if self._product is not None:
+            start = c << self._product_shift
+            return self._product[start : start + self.order]
+        row = self.mul(c, np.arange(self.order)).astype(self.symbol_dtype)
+        row.setflags(write=False)
+        return row
 
     def inv(self, a):
         if isinstance(a, np.ndarray):
@@ -266,10 +290,13 @@ class Field:
         return int(self._exp[(q1 - self._log[a]) % q1])
 
     def sum(self, arr: np.ndarray, axis=None):
-        """Field sum along an axis (xor-reduce for binary, modular for prime)."""
+        """Field sum along an axis: modular for prime fields, accumulated and
+        returned as int64; xor-reduce for binary ones, which cannot overflow
+        and so keeps an integer array's dtype."""
         if self.spec.kind == "prime":
-            return np.asarray(arr, dtype=np.int64).sum(axis=axis) % self._p
-        return np.bitwise_xor.reduce(np.asarray(arr, dtype=np.int64), axis=axis)
+            return np.asarray(arr).sum(axis=axis, dtype=np.int64) % self._p
+        arr = np.asarray(arr)
+        return np.bitwise_xor.reduce(arr if arr.dtype.kind in "ui" else arr.astype(np.int64), axis=axis)
 
     def __repr__(self) -> str:
         base = f"GF({self.spec.modulus})" if self.spec.kind == "prime" else f"GF(2^{self.spec.modulus})"
@@ -280,6 +307,11 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(self.spec)
+
+
+def _wide(a):
+    """Numpy operands as int64; Python ints pass through unchanged."""
+    return a.astype(np.int64, copy=False) if isinstance(a, (np.ndarray, np.generic)) else a
 
 
 @lru_cache(maxsize=None)

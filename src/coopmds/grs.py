@@ -15,6 +15,18 @@ caller that reuses one points matrix keeps its ``_RowGroups`` (the grouping
 plus the maps built so far), as ``CodeSpec`` does for ``coeff_matrix()`` and
 for repair's round-1 points, so a code pays for them once per erasure
 pattern rather than once per call or stripe.
+
+The multiply-accumulate takes one of two paths, chosen by shape alone.  When
+the distinct rows' lookup rows together hold no more entries than one stripe
+run (rows x order <= stripes: whole files, few rows), each map coefficient c
+becomes ``Field.scale_table(c)`` and every term is one table lookup in the
+symbols' own narrow dtype, summed by XOR or by a narrow add with conditional
+subtract.  Otherwise (one stripe over many distinct rows, as in the
+library's universal codes, or a file of few stripes) each term gathers its
+per-system coefficient and multiplies through ``Field.mul`` in int64.  The
+rule bounds the lookup rows kept with each map to parity x known x stripes
+symbols, no more than the stripes they serve.  Either way the result has the
+known symbols' dtype, or the field's symbol dtype where that is wider.
 """
 
 from __future__ import annotations
@@ -87,11 +99,18 @@ class _RowGroups:
         else:
             self.rows, inverse = np.unique(points, axis=0, return_inverse=True)
         self.inverse = inverse.reshape(nsys).astype(np.min_scalar_type(max(len(self.rows) - 1, 0)))
-        self.maps: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        # (parity, known positions) -> [map, its lookup rows once built]
+        self.maps: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> np.ndarray:
-        """maps[u] with unknowns = maps[u] @ knowns on distinct row u; shape
-        (rows, parity, len(known_pos))."""
+    def lookup_pays(self, stripes: int) -> bool:
+        """Whether complete() over this many stripes uses lookup rows: only
+        when all distinct rows' tables fit in one stripe run."""
+        return len(self.rows) * self.field.order <= stripes
+
+    def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> list:
+        """[maps, lookup rows]: maps[u] with unknowns = maps[u] @ knowns on
+        distinct row u, shape (rows, parity, len(known_pos)), and the lookup
+        rows of its coefficients once the lookup path has built them."""
         key = (parity, tuple(known_pos.tolist()))
         if key not in self.maps:
             field, rows = self.field, self.rows
@@ -104,11 +123,12 @@ class _RowGroups:
             mats = np.broadcast_to(pw[:, None][..., unknown_pos], (nrows, nknown, parity, parity))
             rhs = field.neg(pw[:, :, known_pos]).transpose(0, 2, 1)
             sol = solve_batched(field, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))
-            self.maps.setdefault(key, sol.reshape(nrows, nknown, parity).transpose(0, 2, 1))
+            self.maps.setdefault(key, [sol.reshape(nrows, nknown, parity).transpose(0, 2, 1), None])
         return self.maps[key]
 
     def complete(self, parity: int, known_pos: Sequence[int], known_vals: np.ndarray) -> np.ndarray:
-        """recover_batched on the grouped points matrix."""
+        """recover_batched on the grouped points matrix, in known_vals' dtype
+        (or the field's symbol dtype, where that is wider)."""
         nsys, npts = len(self.inverse), self.rows.shape[1]
         known_pos = np.asarray(known_pos, dtype=np.int64)
         nknown = npts - parity
@@ -119,26 +139,90 @@ class _RowGroups:
         unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
         if len(unknown_pos) != parity:
             raise ValueError("known positions out of range or repeated")
-        known_vals = np.asarray(known_vals, dtype=np.int64)
+        known_vals = np.asarray(known_vals)
+        if known_vals.dtype.kind not in "ui":
+            known_vals = known_vals.astype(np.int64)
         if known_vals.ndim not in (2, 3) or known_vals.shape[:2] != (nsys, nknown):
             raise ValueError(f"known_vals must have shape ({nsys}, {nknown}[, stripes])")
         vals = known_vals if known_vals.ndim == 3 else known_vals[:, :, None]
-        # unknown-major, so each coordinate is written contiguously
-        out = np.empty((parity, nsys, vals.shape[2]), dtype=np.int64)
+        stripes = vals.shape[2]
+        # unknown-major, then stripe-major: each coordinate's (stripes,
+        # systems) block is contiguous, the layout of a shard's payload
+        dtype = np.promote_types(vals.dtype, self.field.symbol_dtype)
+        out = np.empty((parity, stripes, nsys), dtype=dtype)
         if parity:
-            field = self.field
-            maps = self.map_for(parity, known_pos, unknown_pos)
-            # widened once: a 1-D gather with a native index is the fast one
-            inverse = self.inverse.astype(np.intp)
-            for i in range(parity):
-                acc = None
-                for j in range(nknown):
-                    coef = np.ascontiguousarray(maps[:, i, j])[inverse]
-                    term = field.mul(coef[:, None], vals[:, j])
-                    acc = term if acc is None else field.add(acc, term)
-                out[i] = acc
-        out = out.transpose(1, 0, 2)
+            entry = self.map_for(parity, known_pos, unknown_pos)
+            if self.lookup_pays(stripes):
+                self._apply_by_lookup(entry, vals, out)
+            else:
+                self._apply_by_gather(entry[0], vals, out)
+        out = out.transpose(2, 0, 1)
         return out if known_vals.ndim == 3 else out[:, :, 0]
+
+    def _apply_by_gather(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
+        field = self.field
+        # widened once: a 1-D gather with a native index is the fast one
+        inverse = self.inverse.astype(np.intp)
+        for i in range(maps.shape[1]):
+            acc = None
+            for j in range(maps.shape[2]):
+                coef = np.ascontiguousarray(maps[:, i, j])[inverse]
+                term = field.mul(coef[:, None], vals[:, j])
+                acc = term if acc is None else field.add(acc, term)
+            out[i] = acc.T
+
+    def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
+        field = self.field
+        if vals.size and (vals.min() < 0 or vals.max() >= field.order):
+            raise ValueError("symbols must be field elements")
+        bytewise = field.symbol_dtype == np.uint8
+        if bytewise:
+            vals = vals.astype(np.uint8, copy=False)
+
+        def lookup_row(c):
+            row = field.scale_table(c)
+            # a 256-byte string for bytes.translate; no symbol reaches the pad
+            return row.tobytes().ljust(256, b"\0") if bytewise else row
+
+        if entry[1] is None:  # threads that race build equal rows; either serves
+            entry[1] = [[[lookup_row(c) for c in row] for row in m] for m in entry[0]]
+        for u, tables in enumerate(entry[1]):
+            sel = np.flatnonzero(self.inverse == u)
+            if sel[-1] - sel[0] + 1 == len(sel):
+                sel = slice(sel[0], sel[-1] + 1)  # consecutive systems: views, no copies
+            x = vals[sel]
+            accs = []
+            for j in range(x.shape[1]):
+                index = x[:, j].tobytes() if bytewise else x[:, j]
+                for i, row in enumerate(tables):
+                    term = _take(row[j], index, x[:, j].shape)
+                    if j:
+                        accs[i] = _add(field, accs[i], term)
+                    else:
+                        accs.append(term)
+            for i, acc in enumerate(accs):
+                out[i][:, sel] = acc.T
+
+
+def _take(row: "bytes | np.ndarray", index: "bytes | np.ndarray", shape: tuple) -> np.ndarray:
+    """row[index] for one lookup row.  Byte symbols go through bytes.translate,
+    one C pass over a 256-entry table and several times faster than a numpy
+    gather; wider ones are a gather."""
+    if isinstance(row, bytes):
+        return np.frombuffer(index.translate(row), np.uint8).reshape(shape)
+    return row[index]
+
+
+def _add(field: Field, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """acc + term for narrow symbols of the field, as a new array."""
+    if field.spec.kind == "binary":
+        return acc ^ term
+    p = field.order
+    total = acc + term
+    # take p off where the sum reached p, or wrapped past the dtype's top
+    # (then total < term, and total - p wraps back into the field)
+    np.subtract(total, p, out=total, where=(total >= p) | (total < term))
+    return total
 
 
 def recover_batched(
@@ -155,7 +239,8 @@ def recover_batched(
     known_vals: (B, N-parity) symbols at those coordinates, or (B, N-parity, S)
     for S stripes that share each system's points.  Returns (B, parity), or
     (B, parity, S), symbols for the remaining coordinates in ascending
-    position order.
+    position order, in known_vals' integer dtype (or the field's symbol
+    dtype, where that is wider).
     """
     points = np.asarray(points, dtype=np.int64)
     if points.ndim != 2:

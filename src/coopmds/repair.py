@@ -108,7 +108,8 @@ class RepairMessage:
     u=0 row and the failed node whose digit varies, making each symbol
     self-describing.  Round 1 varies the receiver's digit, round 2 the
     sender's.  A trailing payload axis, when present, spans stripes that
-    share tags.
+    share tags.  The payload keeps the integer dtype of the columns it sums
+    (the CLI's narrow symbols, or int64).
     """
 
     round: int
@@ -118,7 +119,9 @@ class RepairMessage:
     tags: np.ndarray
 
     def __post_init__(self):
-        self.payload = np.asarray(self.payload, dtype=np.int64)
+        self.payload = np.asarray(self.payload)
+        if self.payload.dtype.kind not in "ui":
+            self.payload = self.payload.astype(np.int64)
         self.tags = np.asarray(self.tags, dtype=np.int64)
         if self.tags.shape != (self.payload.shape[0], 2):
             raise ValueError("need one (base row, varied node) tag per payload entry")
@@ -244,11 +247,12 @@ class _Geometry:
     Node i's cell (block b, class c, offset L) holds rows b·span +
     node_table[i][c, u]·stride + L, so each gather and scatter indexes axis 1
     of blocks(col); tags[i] is the one read-only (base row, i) array that
-    every message about node i's cells shares."""
+    every message about node i's cells shares.  The spec keeps the geometry,
+    so the geometry does not keep the spec: callers pass it alongside."""
 
     def __init__(self, spec: CodeSpec, ctx: RepairContext):
         comp, scale = _validate_context(spec, ctx)
-        self.spec, self.ctx = spec, ctx
+        self.ctx = ctx
         self.s, h = comp.params.s, comp.params.h
         self.ca = card_A(h, self.s)
         self.stride = scale * self.ca ** (subset_rank(ctx.failed) - 1)
@@ -322,11 +326,13 @@ def _inbox(
 # ---- round 1 ----------------------------------------------------------------
 
 
-def _helper_message(geom: _Geometry, helper: int, failed: int, column: np.ndarray) -> RepairMessage:
-    col = np.asarray(column, dtype=np.int64)
-    if col.ndim not in (1, 2) or col.shape[0] != geom.spec.params.l:
-        raise ValueError(f"column must have {geom.spec.params.l} rows")
-    sums = geom.spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
+def _helper_message(
+    spec: CodeSpec, geom: _Geometry, helper: int, failed: int, column: np.ndarray
+) -> RepairMessage:
+    col = np.asarray(column)
+    if col.ndim not in (1, 2) or col.shape[0] != spec.params.l:
+        raise ValueError(f"column must have {spec.params.l} rows")
+    sums = spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
     payload = sums.reshape((geom.quota,) + col.shape[1:])
     return RepairMessage(1, helper, failed, payload, geom.tags[failed])
 
@@ -340,19 +346,19 @@ def round1_helper_payload(
         raise ValueError(f"node {helper} is not a helper in this context")
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _helper_message(_geometry(spec, ctx), helper, failed, column)
+    return _helper_message(spec, _geometry(spec, ctx), helper, failed, column)
 
 
-def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
+def _round1_points(spec: CodeSpec, geom: _Geometry, i: int) -> np.ndarray:
     """Per-cell points of node i's round-1 systems, shape (quota, r + d):
     node i's s entries, one per other failed node, one per idle node, then
     one per helper."""
     s, ctx = geom.s, geom.ctx
     cross = [ip for ip in ctx.failed if ip != i]
     npts = s + len(cross) + len(geom.idle) + ctx.d
-    assert npts - ctx.d == geom.spec.params.r
+    assert npts - ctx.d == spec.params.r
 
-    table, coeff = geom.node_table[i], geom.blocks(geom.spec.coeff_matrix())
+    table, coeff = geom.node_table[i], geom.blocks(spec.coeff_matrix())
     pts = np.empty((geom.nblk, geom.ncls, geom.stride, npts), dtype=np.int64)
     # node i's coefficient depends on its own digit only, so class 0 serves all
     pts[..., :s] = np.moveaxis(coeff[..., i - 1][:, table[0]], 1, 2)[:, None]
@@ -364,26 +370,29 @@ def _round1_points(geom: _Geometry, i: int) -> np.ndarray:
     return pts.reshape(geom.quota, npts)
 
 
-def _round1_groups(geom: _Geometry, i: int) -> _RowGroups:
+def _round1_groups(spec: CodeSpec, geom: _Geometry, i: int) -> _RowGroups:
     """The grouping of node i's round-1 points, kept by the spec so that a
     repeat repair of the same failed and helper sets skips building and
     grouping the per-cell points."""
-    spec, ctx = geom.spec, geom.ctx
+    ctx = geom.ctx
     return spec._derived(
         ("round1", ctx.failed, ctx.helpers, i),
-        lambda: _RowGroups(spec.field, _round1_points(geom, i)),
+        lambda: _RowGroups(spec.field, _round1_points(spec, geom, i)),
     )
 
 
-def _solve_node(geom: _Geometry, i: int, payloads: Iterable[RepairMessage]) -> Round1State:
-    spec, ctx, s = geom.spec, geom.ctx, geom.s
+def _solve_node(
+    spec: CodeSpec, geom: _Geometry, i: int, payloads: Iterable[RepairMessage]
+) -> Round1State:
+    ctx, s = geom.ctx, geom.s
     known, shapes = _inbox(geom, 1, i, ctx.helpers, payloads)
     flat = shapes == {(geom.quota,)}
     r = spec.params.r
-    vals = _round1_groups(geom, i).complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
+    groups = _round1_groups(spec, geom, i)
+    vals = groups.complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
 
     l, stripes, table = spec.params.l, vals.shape[2], geom.node_table[i]
-    column = np.zeros((l, stripes), dtype=np.int64)
+    column = np.zeros((l, stripes), dtype=vals.dtype)
     filled = np.zeros(l, dtype=bool)
     for u in range(s):
         geom.blocks(column)[:, table[:, u]] = geom.by_cell(vals[:, u])
@@ -410,21 +419,21 @@ def round1_solve(
     """
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _solve_node(_geometry(spec, ctx), failed, payloads)
+    return _solve_node(spec, _geometry(spec, ctx), failed, payloads)
 
 
 # ---- round 2 ----------------------------------------------------------------
 
 
 def _finish_column(
-    geom: _Geometry, i: int, state: Round1State, received: Iterable[RepairMessage]
+    spec: CodeSpec, geom: _Geometry, i: int, state: Round1State, received: Iterable[RepairMessage]
 ) -> np.ndarray:
-    field, s = geom.spec.field, geom.s
+    field, s = spec.field, geom.s
     senders = tuple(ip for ip in geom.ctx.failed if ip != i)
     sums, shapes = _inbox(geom, 2, i, senders, received)
     if shapes - {(geom.quota,) + state.column.shape[1:]}:
         raise ValueError(f"round-2 payloads {shapes} do not fit state {state.column.shape}")
-    l = geom.spec.params.l
+    l = spec.params.l
     column = state.column.reshape(l, -1).copy()
     filled = state.filled.copy()
     cols, done = geom.blocks(column), geom.blocks(filled)
@@ -455,28 +464,34 @@ def round2_exchange_and_finish(
     row with digit s-1 at the sender's position, completing the column."""
     if failed != state.node:
         raise ValueError("state belongs to a different node")
-    return _finish_column(_geometry(spec, ctx), failed, state, received)
+    return _finish_column(spec, _geometry(spec, ctx), failed, state, received)
 
 
 # ---- full protocol ----------------------------------------------------------
 
 
 def _run_rounds(
-    geom: _Geometry, helper_columns: Mapping[int, np.ndarray], *, meter_round2: bool, pool_map=map
+    spec: CodeSpec,
+    geom: _Geometry,
+    helper_columns: Mapping[int, np.ndarray],
+    *,
+    meter_round2: bool,
+    pool_map=map,
 ) -> tuple[dict[int, np.ndarray], list[RepairMessage], BandwidthLedger]:
-    """Both rounds on one geometry, round-1 solves through pool_map: restored
-    columns, metered messages in (round, sender, receiver) order, ledger."""
+    """Both rounds on one geometry of spec, round-1 solves through pool_map:
+    restored columns, metered messages in (round, sender, receiver) order,
+    ledger."""
     ctx = geom.ctx
     ledger = BandwidthLedger()
     messages: list[RepairMessage] = []
     inbox1: dict[int, list[RepairMessage]] = {i: [] for i in ctx.failed}
     for j in ctx.helpers:
         for i in ctx.failed:
-            msg = _helper_message(geom, j, i, helper_columns[j])
+            msg = _helper_message(spec, geom, j, i, helper_columns[j])
             inbox1[i].append(msg)
             ledger.add(msg)
             messages.append(msg)
-    solved = pool_map(lambda i: _solve_node(geom, i, inbox1[i]), ctx.failed)
+    solved = pool_map(lambda i: _solve_node(spec, geom, i, inbox1[i]), ctx.failed)
     states = dict(zip(ctx.failed, solved))
     inbox2: dict[int, list[RepairMessage]] = {i: [] for i in ctx.failed}
     for i in ctx.failed:
@@ -485,7 +500,7 @@ def _run_rounds(
             if meter_round2:
                 ledger.add(msg)
                 messages.append(msg)
-    restored = {i: _finish_column(geom, i, states[i], inbox2[i]) for i in ctx.failed}
+    restored = {i: _finish_column(spec, geom, i, states[i], inbox2[i]) for i in ctx.failed}
     messages.sort(key=lambda m: (m.round, m.sender, m.receiver))
     return restored, messages, ledger
 
@@ -518,7 +533,7 @@ def repair_columns(
         if np.shape(col) != shape:
             raise ValueError(f"helper {j}'s column has shape {np.shape(col)}, not {shape}")
     restored, messages, ledger = _run_rounds(
-        geom, helper_columns, meter_round2=(mode == "cooperative")
+        spec, geom, helper_columns, meter_round2=(mode == "cooperative")
     )
     coop, cent = _bounds(spec, ctx)
     stripes = shape[1] if len(shape) == 2 else 1

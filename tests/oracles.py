@@ -36,6 +36,40 @@ def dual_vandermonde_codewords(field: Field, points: list[int], parity: int) -> 
     return vecs[keep]
 
 
+def complete_by_elimination(field: Field, points, parity: int, known_pos, vals) -> np.ndarray:
+    """The unknown coordinates (B, parity[, S]) of B dual-Vandermonde
+    codewords as int64: per system, scalar Gauss-Jordan elimination of the
+    unknowns' Vandermonde block gives the map from knowns to unknowns, which
+    is then applied to every stripe with int64 field arithmetic."""
+    points = np.asarray(points, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.int64)
+    nsys, npts = points.shape
+    known_pos = list(known_pos)
+    unknown = [c for c in range(npts) if c not in known_pos]
+    out = np.empty((nsys, parity) + vals.shape[2:], dtype=np.int64)
+    for b in range(nsys):
+        pw = [[1] * npts]
+        for _ in range(1, parity):
+            pw.append([field.mul(v, int(x)) for v, x in zip(pw[-1], points[b])])
+        # [V_unknown | -V_known], reduced until the left block is the identity
+        rows = [[pw[t][c] for c in unknown] + [field.neg(pw[t][c]) for c in known_pos] for t in range(parity)]
+        for col in range(parity):
+            piv = next(r for r in range(col, parity) if rows[r][col])
+            rows[col], rows[piv] = rows[piv], rows[col]
+            inv = field.inv(rows[col][col])
+            rows[col] = [field.mul(inv, v) for v in rows[col]]
+            for r in range(parity):
+                if r != col and rows[r][col]:
+                    fac = rows[r][col]
+                    rows[r] = [field.sub(v, field.mul(fac, w)) for v, w in zip(rows[r], rows[col])]
+        for i in range(parity):
+            acc = np.zeros(vals.shape[2:], dtype=np.int64)
+            for j in range(len(known_pos)):
+                acc = field.add(acc, field.mul(rows[i][parity + j], vals[b, j]))
+            out[b, i] = acc
+    return out
+
+
 def log_exp_tables(w: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(generator, exp, log) for GF(2^w) by stepping through the powers of
     each candidate generator in ascending order, one element at a time: exp

@@ -27,10 +27,10 @@ from coopmds.field import FieldSpec
 from oracles import powered_sweep_witness
 
 
-def write_input(tmp_path, size=1024, seed=1234):
+def write_input(tmp_path, size=1024, seed=1234, high=256):
     rng = np.random.default_rng(seed)
     path = tmp_path / "input.bin"
-    path.write_bytes(rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+    path.write_bytes(rng.integers(0, high, size, dtype=np.uint8).tobytes())
     return path
 
 
@@ -401,11 +401,40 @@ def test_wide_field_round_trip(tmp_path, capsys):
     assert dest.read_bytes() == src.read_bytes()
 
 
+def test_an_odd_byte_count_pads_one_byte_on_the_lookup_path(tmp_path):
+    # 196,609 stripes of (5,2,2,3) over GF(2^16): enough for encode's three
+    # distinct rows to take the 65,536-entry lookup rows
+    raw = np.random.default_rng(29).bytes(2 * 6 * 196_608 + 1)
+    src = tmp_path / "odd.bin"
+    src.write_bytes(raw)
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    assert main(argv + ["--field", "65536"]) == EXIT_OK
+    data = []
+    for node in (1, 2):
+        header, off = ShardHeader.parse((outdir / f"shard_00{node}.cmds").read_bytes())
+        assert header.stripes == 196_609 and header.orig_len == len(raw)
+        data.append(_bytes_to_symbols((outdir / f"shard_00{node}.cmds").read_bytes()[off:], 65536))
+    blob = _symbols_to_bytes(np.stack([col.reshape(-1, 3) for col in data], axis=2), 65536)
+    assert blob[: len(raw)] == raw and not any(blob[len(raw) :])  # the pad byte is zero
+    before = shard_hashes(outdir)
+    assert main(["verify", str(outdir)]) == EXIT_OK
+    for name in ("shard_001.cmds", "shard_002.cmds"):
+        (outdir / name).unlink()
+    dest = tmp_path / "back.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_OK
+    assert dest.read_bytes() == raw
+    assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
+    assert shard_hashes(outdir) == before
+
+
 # ---- golden outputs ---------------------------------------------------------
 
-# SHA-256 of every shard encode writes for write_input(size=1024, seed=1234),
-# and the repair report for the listed failure; any change to the arithmetic
-# or the shard layout shows up here.
+# SHA-256 of every shard encode writes for write_input(seed=1234), and the
+# repair report for the listed failure; any change to the arithmetic or the
+# shard layout shows up here.  Binary fields encode 1,024 bytes; prime fields
+# encode 6,144 bytes below the field's order, 1,024 stripes: enough for the
+# lookup path even over GF(251), whose narrow sums wrap past 255.
 GOLDEN = {
     ("fixed_subset", 5, 2, 2, 3, 256, "1,2", "3,4,5"): (
         {
@@ -435,6 +464,34 @@ GOLDEN = {
         b'"restored":["shard_001.cmds","shard_002.cmds"],"rounds":{"1":516,"2":172},'
         b'"stripes":86,"total":688}\n',
     ),
+    ("fixed_subset", 5, 2, 2, 3, 13, "1,2", "3,4,5"): (
+        {
+            "shard_001.cmds": "aefe25cc58ba590deb8d07c706688b17a83a589105bfa316291309b7801182ba",
+            "shard_002.cmds": "7160197944b7d8258807df189350687c331777826f17946f81e3ed9a066c421d",
+            "shard_003.cmds": "6438a2961afad88945e6dd93c2a257e3dc5d58369967a263d198862b3c7de48f",
+            "shard_004.cmds": "b10fa727178ea5ae2d1fcbd96aa707be1a6d242bc5265a22a5cdf0514dc376d9",
+            "shard_005.cmds": "46ca11d278f94e16000d462df2dfa41dbfb43e0dca8795aad31a5acde1b8f4ca",
+        },
+        b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":1024,"2->1":1024,'
+        b'"3->1":1024,"3->2":1024,"4->1":1024,"4->2":1024,"5->1":1024,"5->2":1024},'
+        b'"mode":"cooperative","optimal":true,"per_stripe":8,'
+        b'"restored":["shard_001.cmds","shard_002.cmds"],"rounds":{"1":6144,"2":2048},'
+        b'"stripes":1024,"total":8192}\n',
+    ),
+    ("fixed_subset", 5, 2, 2, 3, 251, "1,2", "3,4,5"): (
+        {
+            "shard_001.cmds": "c0439b33d6271d5dd48e708436567250eef1a106607b9d730deba007c6cd3afa",
+            "shard_002.cmds": "67eddc58e9457809a4c34191867fe6b548035d77bda024a9019fecde99d70bfd",
+            "shard_003.cmds": "dcf3ec713969d77abab250582420a129417b5bd3bc7e55dfa8f20122e90507bc",
+            "shard_004.cmds": "a42182899a461cf73ff17849d2df2a26779b5a488c9b8f071e78a6819c3e1a51",
+            "shard_005.cmds": "624e6a3e12451884534b268d2b3d103e92a16a23db547f558bb14db859fdf518",
+        },
+        b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":1024,"2->1":1024,'
+        b'"3->1":1024,"3->2":1024,"4->1":1024,"4->2":1024,"5->1":1024,"5->2":1024},'
+        b'"mode":"cooperative","optimal":true,"per_stripe":8,'
+        b'"restored":["shard_001.cmds","shard_002.cmds"],"rounds":{"1":6144,"2":2048},'
+        b'"stripes":1024,"total":8192}\n',
+    ),
     ("any_subset", 4, 1, 2, 2, 256, "1,3", "2,4"): (
         {
             "shard_001.cmds": "7023ccf6e773b8360548a6b79ad5f5c2fe3fe1552da94c08d393999152886d41",
@@ -455,7 +512,7 @@ GOLDEN = {
 def test_encode_and_repair_outputs_are_golden(tmp_path, case):
     family, n, k, h, d, field, fail, helpers = case
     shards, report = GOLDEN[case]
-    src = write_input(tmp_path)
+    src = write_input(tmp_path, 1024) if field >= 256 else write_input(tmp_path, 6144, high=field)
     outdir = tmp_path / "shards"
     argv = ["encode", str(src), str(outdir), "--family", family]
     argv += ["--n", str(n), "--k", str(k), "--h", str(h), "--d", str(d), "--field", str(field)]
@@ -617,3 +674,70 @@ def test_a_write_failing_halfway_leaves_nothing_under_the_final_name(tmp_path, m
     assert main(argv) == EXIT_IO
     assert not target.exists()
     assert set(folder.iterdir()) == before  # no temp file left behind either
+
+
+# ---- narrow symbols on the file path -----------------------------------------
+
+
+def test_file_ops_stay_within_a_few_copies_of_the_file(tmp_path):
+    import tracemalloc
+
+    src = write_input(tmp_path, size=1 << 20, seed=31)
+    outdir = tmp_path / "shards"
+    encode = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+
+    def degraded_decode():
+        for node in (1, 2):
+            (outdir / f"shard_00{node}.cmds").unlink()
+        return main(["decode", str(outdir), str(tmp_path / "back.bin")])
+
+    steps = {
+        "encode": lambda: main(encode),
+        "verify": lambda: main(["verify", str(outdir)]),
+        "degraded decode": degraded_decode,
+    }
+    for step, run in steps.items():
+        tracemalloc.start()
+        try:
+            assert run() == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # int64 copies of the 1 MiB file alone would pass 8 MiB
+        assert peak <= 8 << 20, f"{step} peaked at {peak / 2**20:.2f} MiB"
+    assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+
+
+def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp_path, monkeypatch):
+    from coopmds import codec, repair
+    from coopmds.codespec import universal_code
+    from coopmds.grs import _RowGroups
+
+    taken = []
+    for path in ("lookup", "gather"):
+        method = getattr(_RowGroups, f"_apply_by_{path}")
+
+        def spy(self, entry, vals, out, path=path, method=method):
+            taken.append((path, len(self.rows), len(self.inverse), vals.shape[2]))
+            return method(self, entry, vals, out)
+
+        monkeypatch.setattr(_RowGroups, f"_apply_by_{path}", spy)
+
+    # the file_gf256 workload: 1 MiB, (5,2,2,3) over GF(2^8), 174,763 stripes
+    src = write_input(tmp_path, size=1 << 20, seed=37)
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    assert main(argv) == EXIT_OK
+    assert taken == [("lookup", 3, 3, 174_763)]
+    taken.clear()
+    assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
+    assert taken == [("lookup", 1, 1, 174_763)] * 2
+
+    # cluster_universal: universal_code(4,1), one stripe over many rows
+    taken.clear()
+    spec = universal_code(4, 1)
+    data = np.random.default_rng(41).integers(0, 13, size=(spec.params.l, spec.params.k))
+    cw = codec.encode_systematic(spec, data)
+    ctx = repair.RepairContext((1, 3), (2, 4))
+    repair.repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers})
+    assert taken == [("gather", 81, 944_784, 1)] + [("gather", 162, 314_928, 1)] * 2

@@ -229,6 +229,72 @@ def test_array_ops_match_scalar(spec):
         assert int(bycol[j]) == _fold(f, m[:, j])
 
 
+NARROW_FIELDS = [
+    FieldSpec("prime", 13),
+    FieldSpec("prime", 251),
+    FieldSpec("prime", 65521),
+    FieldSpec("binary", 8),
+    FieldSpec("binary", 16),
+]
+
+
+def test_prime_field_ops_do_not_wrap_narrow_operands():
+    f, u8 = make_field("prime", 251), np.uint8
+    assert f.add(np.array([200], u8), np.array([100], u8))[0] == 49
+    assert f.sub(np.array([3], u8), np.array([5], u8))[0] == 249
+    assert f.neg(np.array([200], u8))[0] == 51
+    assert f.add(u8(200), u8(100)) == 49
+    g, u16 = make_field("prime", 65521), np.uint16
+    assert g.add(np.array([60000], u16), np.array([10000], u16))[0] == 4479
+    assert g.mul(np.array([60000], u16), np.array([10000], u16))[0] == 24203
+
+
+@pytest.mark.parametrize("spec", NARROW_FIELDS, ids=str)
+def test_array_ops_on_narrow_operands_match_int64(spec):
+    f = make_field(spec)
+    rng = np.random.default_rng(f.order)
+    a = rng.integers(0, f.order, size=(40, 50))
+    b = rng.integers(0, f.order, size=(40, 50))
+    a[0, :5] = b[0, :5] = f.order - 1  # the top of the field, where narrow sums wrap
+    expect = {
+        "add": f.add(a, b),
+        "sub": f.sub(a, b),
+        "mul": f.mul(a, b),
+        "neg": f.neg(a),
+        "sum": f.sum(a),
+        "sum0": f.sum(a, axis=0),
+    }
+    for dtype in (np.uint8, np.uint16, np.int64):
+        if f.order > np.iinfo(dtype).max + 1:
+            continue
+        an, bn = a.astype(dtype), b.astype(dtype)
+        got = {
+            "add": f.add(an, bn),
+            "sub": f.sub(an, bn),
+            "mul": f.mul(an, bn),
+            "neg": f.neg(an),
+            "sum": f.sum(an),
+            "sum0": f.sum(an, axis=0),
+        }
+        for op, value in got.items():
+            assert np.array_equal(value, expect[op]), (dtype, op)
+        assert f.add(dtype(a[0, 0]), dtype(b[0, 0])) == int(expect["add"][0, 0])
+        assert f.mul(dtype(a[0, 0]), dtype(b[0, 0])) == int(expect["mul"][0, 0])
+
+
+@pytest.mark.parametrize("spec", NARROW_FIELDS, ids=str)
+def test_scale_table_is_one_read_only_row_of_products(spec):
+    f = make_field(spec)
+    x = np.arange(f.order)
+    for c in (0, 1, 2, f.order - 1):
+        row = f.scale_table(c)
+        assert row.dtype == (np.uint8 if f.order <= 256 else np.uint16) == f.symbol_dtype
+        assert row.shape == (f.order,) and not row.flags.writeable
+        assert np.array_equal(row, f.mul(c, x))
+    with pytest.raises(ValueError):
+        f.scale_table(f.order)
+
+
 def _fold(f, xs):
     acc = 0
     for x in xs:

@@ -10,7 +10,12 @@ import pytest
 from coopmds.field import make_field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
 from lib_helpers import field_pow, grs_erasure_recover, solve_vandermonde, vandermonde_matrix
-from oracles import dual_vandermonde_codewords
+from oracles import complete_by_elimination, dual_vandermonde_codewords
+
+# the fields whose narrow symbols the kernels must handle: small and large
+# primes (GF(251) sums wrap a uint8, GF(65521) products a uint16) and both
+# binary widths
+NARROW_FIELDS = [("prime", 13), ("prime", 251), ("prime", 65521), ("binary", 8), ("binary", 16)]
 
 
 def test_solve_single_point():
@@ -218,3 +223,82 @@ def test_grs_keeps_no_cache_of_its_own(monkeypatch):
     for _ in range(2):
         recover_batched(f, points, 1, [0, 1], np.array([[1, 2], [3, 4]]))
     assert len(built) == 2
+
+
+# ---- lookup and gather paths ----------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["lookup", "gather"])
+@pytest.mark.parametrize("spec", NARROW_FIELDS, ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path):
+    f = make_field(*spec)
+    rng = np.random.default_rng(f.order)
+    distinct = np.stack([rng.choice(f.order, size=5, replace=False) for _ in range(2)])
+    # row 0's systems are consecutive (views), row 1's are not (gathers)
+    points = distinct[[0, 0, 1, 0, 1]]
+    groups = _RowGroups(f, points)
+    stripes = 2 * f.order + 3 if path == "lookup" else 5
+    assert groups.lookup_pays(stripes) == (path == "lookup")
+    known_pos = [0, 2, 3]
+    vals = rng.integers(0, f.order, size=(len(points), len(known_pos), stripes))
+    vals[:, :, 0] = f.order - 1  # the top of the field, where narrow sums wrap
+    expect = complete_by_elimination(f, points, 2, known_pos, vals)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        if f.order > np.iinfo(dtype).max + 1:
+            continue
+        got = groups.complete(2, known_pos, vals.astype(dtype))
+        assert got.dtype == np.promote_types(dtype, f.symbol_dtype)
+        assert np.array_equal(got, expect), dtype
+
+
+def test_a_stray_symbol_raises_on_the_lookup_path():
+    f = make_field("prime", 13)
+    row = f.scale_table(5)
+    assert len(row) == 13
+    with pytest.raises(IndexError):
+        row[np.array([14], dtype=np.uint8)]  # no padded entry to alias it
+    groups = _RowGroups(f, np.array([[1, 2, 3, 4]]))
+    vals = np.ones((1, 2, 13), dtype=np.uint8)
+    assert groups.lookup_pays(13)
+    good = groups.complete(2, [0, 1], vals)
+    for stray, dtype in ((14, np.uint8), (13, np.uint8), (-1, np.int64)):
+        bad = vals.astype(dtype)
+        bad[0, 1, 7] = stray
+        with pytest.raises(ValueError, match="field elements"):
+            groups.complete(2, [0, 1], bad)
+    assert np.array_equal(groups.complete(2, [0, 1], vals), good)
+
+
+@pytest.mark.parametrize("spec", [("binary", 8), ("binary", 16)])
+def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec):
+    import sys
+    import threading
+
+    f = make_field(*spec)
+    rng = np.random.default_rng(53)
+    points = np.stack([rng.choice(f.order, size=4, replace=False) for _ in range(2)])[[0, 1, 0]]
+    vals = rng.integers(0, f.order, size=(3, 2, 2 * f.order), dtype=f.symbol_dtype)
+    expect = complete_by_elimination(f, points, 2, [1, 3], vals)
+    groups = _RowGroups(f, points)
+    errors = []
+
+    def work():
+        try:
+            if not np.array_equal(groups.complete(2, [1, 3], vals), expect):
+                errors.append("wrong completion")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(groups.maps) == 1

@@ -455,7 +455,7 @@ def test_concurrent_repairs_share_one_round1_grouping():
 
     def work():
         try:
-            seen.append(_round1_groups(_Geometry(spec, ctx), 1))
+            seen.append(_round1_groups(spec, _Geometry(spec, ctx), 1))
             restored, _ = repair_columns(spec, ctx, helpers)
             if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
                 errors.append("wrong column")
@@ -510,7 +510,7 @@ def test_threads_repairing_one_pattern_share_one_geometry():
             start.wait()
             geom = _geometry(spec, ctx)
             seen.append(geom)
-            restored, _, _ = _run_rounds(geom, helpers, meter_round2=True)
+            restored, _, _ = _run_rounds(spec, geom, helpers, meter_round2=True)
             if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
                 errors.append("wrong column")
         except Exception as exc:  # reported below
@@ -556,7 +556,7 @@ def test_strided_views_gather_and_scatter_the_cell_rows(case):
             rows, table = cell_rows(geom, i), geom.node_table[i]
             gathered = geom.blocks(col)[:, table]  # (block, class, u, offset[, stripes])
             assert np.array_equal(np.moveaxis(gathered, 2, 3).reshape(rows.shape + shape[1:]), col[rows])
-            msg = _helper_message(geom, ctx.helpers[0], i, col)
+            msg = _helper_message(spec, geom, ctx.helpers[0], i, col)
             assert np.array_equal(msg.payload, spec.field.sum(col[rows], axis=1))
             for u in range(s):
                 vals = rng.integers(0, spec.field.order, size=(geom.quota,) + shape[1:])
@@ -634,7 +634,7 @@ def test_every_message_about_a_node_shares_its_tag_array():
     cw = random_codeword(spec, seed=59)
     ctx = RepairContext((2, 5), (1, 3, 4))
     geom = _geometry(spec, ctx)
-    _, messages, _ = _run_rounds(geom, {j: cw.column(j) for j in ctx.helpers}, meter_round2=True)
+    _, messages, _ = _run_rounds(spec, geom, {j: cw.column(j) for j in ctx.helpers}, meter_round2=True)
     states = _round1_states(spec, ctx, cw)
     messages += [m for st in states.values() for m in st.outgoing]
     messages.append(round1_helper_payload(spec, ctx, 1, 2, cw.column(1)))
@@ -678,7 +678,7 @@ def test_a_width_one_stripe_axis_is_kept_through_both_rounds():
         for i in ctx.failed:
             assert restored[i].shape == shape
             assert np.array_equal(restored[i].reshape(l), cw.column(i))
-        _, messages, _ = _run_rounds(_Geometry(spec, ctx), helpers, meter_round2=True)
+        _, messages, _ = _run_rounds(spec, _Geometry(spec, ctx), helpers, meter_round2=True)
         assert {m.payload.shape for m in messages} == {(quota,) + shape[1:]}
 
 
@@ -708,3 +708,21 @@ def test_round2_rejects_cross_sums_whose_stripes_do_not_fit_the_state():
         round2_exchange_and_finish(spec, ctx, 1, st1, st2.outgoing)
     with pytest.raises(ValueError, match="do not fit"):
         round2_exchange_and_finish(spec, ctx, 2, st2, st1.outgoing)
+
+
+def test_a_spec_that_has_repaired_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
+    cw = random_codeword(spec, seed=83)
+    ctx = RepairContext((1, 2), (3, 4, 5))
+    restored, _ = repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers})
+    assert all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        del spec, cw  # the codeword holds the spec too
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -14,17 +14,16 @@ Shard file layout (all integers little-endian):
     checksum     u32      CRC-32 of the payload that follows
     payload      var      stripes * l symbols, stripe-major
 
-Symbols are one byte when the field order is at most 256, two bytes
-otherwise.  A stripe holds k*l data symbols taken from the file in order,
-zero-padded at the end; shard i stores row coordinate i of every stripe.
+Symbols are the field's ``symbol_dtype`` in little-endian order: one byte
+when the field order is at most 256, two bytes otherwise.  A stripe holds
+k*l data symbols taken from the file in order, zero-padded at the end; shard
+i stores row coordinate i of every stripe.
 
-Symbols stay narrow (uint8 or uint16) from read to write.  encode views the
-padded file as (stripes, l, k) and decode, verify and repair view each shard
-as (stripes, l); the codec's striped kernels and repair take these views and
-return narrow columns, laid out as shard payloads.  (A file of fewer stripes
-than distinct point rows times the field order takes the kernels' gather
-path, whose per-term products are int64.)  repair, decode and verify read
-shards through one loader that checks each file once.
+Symbols keep that format from read to write.  encode views the padded file
+as (stripes, l, k) and decode, verify and repair view each shard as
+(stripes, l); the codec's striped kernels and repair take these views and
+return columns laid out as shard payloads.  repair, decode and verify read
+shards through one loader that maps each file and checks it once.
 Every shard and decoded file is written under a hidden temp name and renamed
 into place, so a failed write never leaves a partial file under the final
 name.
@@ -39,6 +38,7 @@ import argparse
 import csv
 import io
 import json
+import mmap
 import os
 import struct
 import sys
@@ -53,7 +53,7 @@ import numpy as np
 from coopmds.cluster import ClusterConfig, inject_and_sweep, run_scenario
 from coopmds.codec import decode_cells, encode_parity, parity_witness
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, make_code, min_field_order
-from coopmds.field import FieldSpec, smallest_field_spec
+from coopmds.field import Field, FieldSpec, smallest_field_spec
 from coopmds.repair import (
     RepairContext,
     _fraction_json,
@@ -118,23 +118,20 @@ class ShardHeader:
         return cls(spec, node, stripes, orig_len, checksum), off + _TRAILER.size
 
 
-def _symbol_width(order: int) -> int:
-    return 1 if order <= 256 else 2
+def _disk_dtype(field: Field) -> np.dtype:
+    """The field's symbol dtype in the shards' little-endian byte order."""
+    return field.symbol_dtype.newbyteorder("<")
 
 
-def _bytes_to_symbols(raw: "bytes | memoryview", order: int) -> np.ndarray:
-    """A read-only view of raw as uint8 or little-endian uint16 symbols."""
-    if len(raw) % _symbol_width(order):
+def _bytes_to_symbols(raw: "bytes | memoryview", field: Field) -> np.ndarray:
+    """A read-only view of raw as the field's symbols."""
+    if len(raw) % _disk_dtype(field).itemsize:
         raise ShardFormatError("odd payload length for two-byte symbols")
-    return np.frombuffer(raw, dtype=_symbols_dtype(order))
+    return np.frombuffer(raw, dtype=_disk_dtype(field))
 
 
-def _symbols_dtype(order: int) -> np.dtype:
-    return np.dtype(np.uint8 if _symbol_width(order) == 1 else "<u2")
-
-
-def _symbols_to_bytes(arr: np.ndarray, order: int) -> bytes:
-    return np.asarray(arr, dtype=_symbols_dtype(order)).tobytes()
+def _symbols_to_bytes(arr: np.ndarray, field: Field) -> bytes:
+    return np.asarray(arr, dtype=_disk_dtype(field)).tobytes()
 
 
 def _shard_name(node: int) -> str:
@@ -163,7 +160,7 @@ def _write_shard(
     shard_dir: Path, spec: CodeSpec, node: int, stripes: int, orig_len: int, column: np.ndarray
 ) -> str:
     """Write node's shard of a (stripes, l) column, returning its file name."""
-    payload = _symbols_to_bytes(column, spec.field.order)
+    payload = _symbols_to_bytes(column, spec.field)
     header = ShardHeader(spec, node, stripes, orig_len, zlib.crc32(payload))
     _write_atomic(shard_dir / _shard_name(node), header.to_bytes() + payload)
     return _shard_name(node)
@@ -200,18 +197,13 @@ def cmd_encode(
         raise InadmissibleError("input file is empty")
     orig_len = len(raw)
     spec = make_code(family, n, k, h, d, _field_from_order(field_order))
-    order = spec.field.order
     p = spec.params
-    width = _symbol_width(order)
+    width = _disk_dtype(spec.field).itemsize
     stripes = -(-orig_len // (width * p.k * p.l))
     # the file zero-padded to whole stripes (an odd byte to a whole symbol)
     padded = bytearray(stripes * p.k * p.l * width)
     padded[:orig_len] = raw
-    data = _bytes_to_symbols(padded, order).reshape(stripes, p.l, p.k)
-    if order < 1 << (8 * width) and int(data.max()) >= order:
-        raise InadmissibleError(
-            f"input symbol {int(data.max())} is outside GF({order}); pick a larger field"
-        )
+    data = _bytes_to_symbols(padded, spec.field).reshape(stripes, p.l, p.k)
     parity = encode_parity(spec, data.transpose(1, 2, 0))
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -224,7 +216,7 @@ def cmd_encode(
             "shards": names,
             "stripes": stripes,
             "orig_len": orig_len,
-            "field": order,
+            "field": spec.field.order,
             "l": p.l,
             "spec": spec.descriptor(),
         },
@@ -239,7 +231,7 @@ def cmd_encode(
 @dataclass(frozen=True)
 class _Shard:
     """A loaded shard: its header and a read-only (stripes, l) view of its
-    uint8 or uint16 symbols, or else the error that rejected it."""
+    symbols in the field's symbol dtype, or else the error that rejected it."""
 
     name: str
     header: "ShardHeader | None" = None
@@ -254,11 +246,16 @@ class _Shard:
 
 
 def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Iterator[_Shard]:
-    """Read, parse and check each shard once: every file in shard_dir, or the
+    """Map, parse and check each shard once: every file in shard_dir, or the
     given nodes' files, one result each in file order.  Rejected: a file name
     unlike the header node, a node outside 1..n, a bad CRC or payload size, a
     symbol outside the field (ShardFormatError), or a spec, stripe count or
-    length unlike the first good shard's (InadmissibleError)."""
+    length unlike the first good shard's (InadmissibleError).
+
+    Each file is mapped read-only and its symbols are a view of the mapping,
+    so a read allocates no copy of the file.  A shard truncated in place while
+    mapped raises SIGBUS on access, not exit 0; this program only replaces
+    shards by os.replace, which leaves a mapped file's inode intact."""
     if nodes is None:
         paths = sorted(shard_dir.glob("shard_*.cmds"))
         if not paths:
@@ -267,7 +264,10 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
         paths = [shard_dir / _shard_name(node) for node in nodes]
     reference = None
     for path in paths:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            # an empty file cannot be mapped; it fails as bad magic below
+            raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
         try:
             header, off = ShardHeader.parse(raw)
             # names are unique, so this also rules out two shards claiming one node
@@ -278,15 +278,17 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
             payload = memoryview(raw)[off:]
             if zlib.crc32(payload) != header.checksum:
                 raise ShardFormatError("checksum mismatch")
-            l, order = header.spec.params.l, header.spec.field.order
-            symbols = _bytes_to_symbols(payload, order)
+            raw.madvise(mmap.MADV_DONTNEED)  # out of this process's RSS until read again
+            l, field = header.spec.params.l, header.spec.field
+            symbols = _bytes_to_symbols(payload, field)
             if symbols.size != header.stripes * l:
                 raise ShardFormatError(
                     f"payload holds {symbols.size} symbols, header promises {header.stripes * l}"
                 )
-            # only a field smaller than the symbol width can receive a stray value
-            if order < 1 << (8 * _symbol_width(order)) and symbols.size and symbols.max() >= order:
-                raise ShardFormatError(f"symbol {int(symbols.max())} is outside GF({order})")
+            try:
+                symbols = field.as_symbols(symbols)
+            except ValueError as exc:
+                raise ShardFormatError(str(exc)) from None
             key = (header.spec, header.stripes, header.orig_len)
             if reference is not None and key != reference:
                 raise InadmissibleError("disagrees with other shards")
@@ -297,10 +299,13 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
         yield _Shard(path.name, header, symbols.reshape(header.stripes, l))
 
 
-def _stack(shards: Sequence[_Shard]) -> np.ndarray:
-    """The shards' symbols as narrow cells (l, len(shards), stripes): a view
-    of one contiguous copy laid out shard by shard."""
-    return np.stack([shard.symbols for shard in shards]).transpose(2, 0, 1)
+def _stack(shards: list) -> np.ndarray:
+    """The shards' symbols as cells (l, len(shards), stripes).  Each list entry
+    is dropped once copied, unmapping a shard that nothing else holds."""
+    out = np.empty((len(shards),) + shards[0].symbols.shape, shards[0].symbols.dtype)
+    for j in range(len(shards)):
+        out[j], shards[j] = shards[j].symbols, None
+    return out.transpose(2, 0, 1)
 
 
 # ---- repair ------------------------------------------------------------------
@@ -353,7 +358,7 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
         cells = decode_cells(spec, use, _stack([shards[i] for i in use]))
         data = np.stack([cells[:, j].T for j in range(p.k)], axis=2)
 
-    blob = memoryview(data.astype(_symbols_dtype(spec.field.order), copy=False)).cast("B")
+    blob = memoryview(data.astype(_disk_dtype(spec.field), copy=False)).cast("B")
     _write_atomic(output, blob[: reference.orig_len])
     _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
     return EXIT_OK
@@ -382,8 +387,8 @@ def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
         if missing:
             ok = False
         elif ok:
-            cells = _stack([good[node] for node in range(1, n + 1)])
-            good.clear()  # the stacked copy replaces the shards' buffers
+            del shard  # _stack unmaps each shard once copied
+            cells = _stack([good.pop(node) for node in range(1, n + 1)])
             witness = parity_witness(spec, cells)
             if witness is None:
                 report["parity"] = {"ok": True}

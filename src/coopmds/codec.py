@@ -13,10 +13,10 @@ Only rows that differ go through the powered parity sweep, which names the
 first failing check.
 
 The striped kernels ``encode_parity``, ``decode_cells`` and ``parity_witness``
-take columns of l rows with an optional trailing stripe axis (the CLI's
-whole files) and keep their input's integer dtype: the CLI's uint8 or uint16
-symbols stay narrow end to end, and int64 stays int64.  The
-``CodewordArray`` functions below wrap them and hold int64 cells.
+take integer columns of l rows with an optional trailing stripe axis (the
+CLI's whole files).  Symbols are range-checked as they enter, and every
+result, like ``CodewordArray`` cells, is in the field's ``symbol_dtype``:
+uint8 up to order 256, uint16 above.
 """
 
 from __future__ import annotations
@@ -50,16 +50,15 @@ class CodewordArray:
     """An l x n array of field symbols, one column per storage node.
 
     Node i lives in column i-1; rows follow the spec's row-label order.
-    Cells are validated against the field range and frozen on construction.
+    Cells are range-checked, copied into the field's symbol dtype and frozen
+    on construction.
     """
 
     def __init__(self, spec: CodeSpec, cells: np.ndarray):
-        cells = np.array(cells, dtype=np.int64)
+        cells = np.array(spec.field.as_symbols(cells))
         expect = (spec.params.l, spec.params.n)
         if cells.shape != expect:
             raise ValueError(f"cells must have shape {expect}, got {cells.shape}")
-        if cells.size and (cells.min() < 0 or cells.max() >= spec.field.order):
-            raise ValueError("symbol out of field range")
         cells.setflags(write=False)
         self.spec = spec
         self.cells = cells
@@ -111,11 +110,12 @@ def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.
 def encode_systematic(spec: CodeSpec, data: np.ndarray) -> CodewordArray:
     """Place data in columns 1..k and solve columns k+1..n row by row."""
     p = spec.params
-    data = np.asarray(data, dtype=np.int64)
+    data = np.asarray(data)
     if data.shape != (p.l, p.k):
         raise ValueError(f"data must have shape {(p.l, p.k)}, got {data.shape}")
-    parity = encode_parity(spec, data)
-    return CodewordArray(spec, np.concatenate([data, parity], axis=1))
+    parity = encode_parity(spec, data)  # range-checks data, so the cast below is exact
+    cells = np.concatenate([data, parity], axis=1, dtype=parity.dtype, casting="unsafe")
+    return CodewordArray(spec, cells)
 
 
 def decode_from_columns(spec: CodeSpec, available: Mapping[int, np.ndarray]) -> CodewordArray:
@@ -129,12 +129,10 @@ def decode_from_columns(spec: CodeSpec, available: Mapping[int, np.ndarray]) -> 
     if nodes[0] < 1 or nodes[-1] > p.n:
         raise ValueError("column keys must be node indices in [1, n]")
     use = nodes[: p.k]
-    known = np.empty((p.l, p.k), dtype=np.int64)
-    for j, node in enumerate(use):
-        col = np.asarray(available[node], dtype=np.int64)
-        if col.shape != (p.l,):
+    for node in use:
+        if np.shape(available[node]) != (p.l,):
             raise ValueError(f"column {node} must be a length-{p.l} vector")
-        known[:, j] = col
+    known = np.stack([available[node] for node in use], axis=1)
     return CodewordArray(spec, decode_cells(spec, use, known))
 
 
@@ -151,10 +149,7 @@ def parity_witness(spec: CodeSpec, cells: np.ndarray) -> "tuple[int, int] | None
     p = spec.params
     field = spec.field
     coeff = spec.coeff_matrix()
-    cells = np.asarray(cells)
-    if cells.dtype.kind not in "ui":
-        cells = cells.astype(np.int64)
-    cells = cells.reshape(p.l, p.n, -1)
+    cells = np.asarray(cells).reshape(p.l, p.n, -1)
     differs = encode_parity(spec, cells[:, : p.k]) != cells[:, p.k :]
     if not differs.any():
         return None

@@ -1,12 +1,14 @@
 """Finite-field arithmetic over GF(p) and GF(2^w).
 
-Symbols are plain integers in ``[0, order)``; prime fields interpret them as
-residues, binary fields as polynomial-basis bit vectors.  Every operation
-accepts either a scalar int or a numpy integer array of any integer dtype and
-returns the same shape, so callers can run row-parallel arithmetic without a
-separate API.  ``scale_table`` is the one narrow entry point: the products
-c·x for every x, in the field's symbol dtype (``symbol_dtype``: uint8 up to
-order 256, uint16 above), for kernels that keep symbols narrow.
+Symbols are integers in ``[0, order)``; prime fields interpret them as
+residues, binary fields as polynomial-basis bit vectors.  In memory a symbol
+array has one format, the field's ``symbol_dtype``: uint8 up to order 256,
+uint16 above.  ``as_symbols`` is the one way in: it range-checks any integer
+array and returns it in that dtype.  Every operation accepts a scalar int or
+an array of any integer dtype and returns the same shape, arrays in
+``symbol_dtype``, so callers can run row-parallel arithmetic without a
+separate API.  ``scale_table`` gives the products c·x for every x, for
+kernels that look products up one constant at a time.
 
 The element enumeration 0, 1, 2, ... is the canonical order used everywhere a
 construction asks for "distinct field elements"; it is deterministic across
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-Symbols = "int | np.ndarray"
 
 # Reduction polynomials for GF(2^w), bit w..0.  w=8 and w=16 are pinned to
 # x^8+x^4+x^3+x+1 and x^16+x^12+x^3+x+1 for cross-implementation shard
@@ -128,9 +128,11 @@ class Field:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.order = spec.order
+        self.symbol_dtype = np.dtype(np.uint8 if self.order <= 256 else np.uint16)
+        self._name = f"GF({spec.modulus})" if spec.kind == "prime" else f"GF(2^{spec.modulus})"
         if spec.kind == "prime":
             self._p = spec.modulus
-            inv = np.zeros(self._p, dtype=np.int64)
+            inv = np.zeros(self._p, dtype=self.symbol_dtype)
             for a in range(1, self._p):
                 inv[a] = pow(a, self._p - 2, self._p)
             self._inv_table = inv
@@ -138,7 +140,6 @@ class Field:
             self._w = spec.modulus
             self._poly = _REDUCTION_POLY[self._w]
             self._build_log_tables()
-        self.symbol_dtype = np.dtype(np.uint8 if self.order <= 256 else np.uint16)
         self._product: np.ndarray | None = None
         if self.order <= 256:
             self._build_product_table()
@@ -146,8 +147,9 @@ class Field:
     def _build_log_tables(self) -> None:
         """Log/exp tables over the first generator in ascending order.
 
-        ``_log`` is int32 with the sentinel ``_log[0] = 2(q-1)``; ``_exp``
-        holds g^i for i < 2(q-1) and zeros from index 2(q-1) through 4(q-1).
+        ``_log`` is int32 with the sentinel ``_log[0] = 2(q-1)``; ``_exp``, in
+        ``symbol_dtype``, holds g^i for i < 2(q-1) and zeros from index 2(q-1)
+        through 4(q-1).
         A sum of two logs of nonzero elements stays below 2(q-1), and any sum
         with a zero operand lands in the zero tail, so ``_exp[_log[a] +
         _log[b]]`` is the product with no masks.
@@ -170,7 +172,7 @@ class Field:
         log = np.empty(q, dtype=np.int32)
         log[exp[:q1]] = np.arange(q1, dtype=np.int32)
         log[0] = 2 * q1
-        self._exp = exp
+        self._exp = exp.astype(self.symbol_dtype)
         self._log = log
 
     def _scalar_pow(self, a: int, t: int) -> int:
@@ -226,34 +228,52 @@ class Field:
         table.setflags(write=False)
         self._product = table.ravel()
 
+    def as_symbols(self, a) -> np.ndarray:
+        """a as an array in ``symbol_dtype``, the one way symbols enter the
+        library.  Raises ValueError for a non-integer array or a value
+        outside [0, order); an unsigned dtype too narrow to hold one skips
+        the scan."""
+        a = np.asarray(a)
+        if a.size:
+            if a.dtype.kind not in "ui":
+                raise ValueError(f"symbols must be integers, not {a.dtype}")
+            if a.dtype.kind == "i" or np.iinfo(a.dtype).max >= self.order:
+                lo, hi = (a.min() if a.dtype.kind == "i" else 0), a.max()
+                if lo < 0 or hi >= self.order:
+                    raise ValueError(f"symbol {lo if lo < 0 else hi} is outside {self._name}")
+        return a.astype(self.symbol_dtype, copy=False)
+
     # ---- basic operations ----------------------------------------------
     #
-    # Prime-field operands are widened to int64 first: a sum or product of
-    # two uint8 or uint16 residues can wrap in its own dtype.
+    # Array results come back in symbol_dtype.  Prime-field operands are
+    # widened to int64 first, since a sum or product of two uint8 or uint16
+    # residues can wrap in its own dtype, and the reduced result is cast back.
+
+    def _narrow(self, x):
+        return x.astype(self.symbol_dtype, copy=False) if isinstance(x, np.ndarray) else x
 
     def add(self, a, b):
         if self.spec.kind == "prime":
-            return (_wide(a) + _wide(b)) % self._p
-        return a ^ b
+            return self._narrow((_wide(a) + _wide(b)) % self._p)
+        return self._narrow(a ^ b)
 
     def sub(self, a, b):
         if self.spec.kind == "prime":
-            return (_wide(a) - _wide(b)) % self._p
-        return a ^ b
+            return self._narrow((_wide(a) - _wide(b)) % self._p)
+        return self._narrow(a ^ b)
 
     def neg(self, a):
         if self.spec.kind == "prime":
-            return (-_wide(a)) % self._p
-        return a
+            return self._narrow((-_wide(a)) % self._p)
+        return self._narrow(a)
 
     def mul(self, a, b):
-        """Product; arrays broadcast and come back as int64."""
+        """Product; arrays broadcast."""
         if self._product is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            return self._product[(a << self._product_shift) | b].astype(np.int64)
+            # an int64 index; b widens to it in the |
+            return self._product[(np.asarray(a, dtype=np.int64) << self._product_shift) | b]
         if self.spec.kind == "prime":
-            return (_wide(a) * _wide(b)) % self._p
+            return self._narrow((_wide(a) * _wide(b)) % self._p)
         # zero operands hit the sentinel log and land in exp's zero tail
         out = self._exp[self._log[a] + self._log[b]]
         return out if isinstance(out, np.ndarray) else int(out)
@@ -270,37 +290,27 @@ class Field:
         if self._product is not None:
             start = c << self._product_shift
             return self._product[start : start + self.order]
-        row = self.mul(c, np.arange(self.order)).astype(self.symbol_dtype)
+        row = self.mul(c, np.arange(self.order))
         row.setflags(write=False)
         return row
 
     def inv(self, a):
-        if isinstance(a, np.ndarray):
-            if (np.asarray(a) == 0).any():
-                raise ZeroDivisionError("inverse of zero")
-            if self.spec.kind == "prime":
-                return self._inv_table[a]
-            q1 = self.order - 1
-            return self._exp[(q1 - self._log[a]) % q1]
-        if a == 0:
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of zero")
-        if self.spec.kind == "prime":
-            return int(self._inv_table[a])
-        q1 = self.order - 1
-        return int(self._exp[(q1 - self._log[a]) % q1])
+        q1 = self.order - 1  # exp has period q1, so q1 - log a indexes a^-1 directly
+        out = self._inv_table[a] if self.spec.kind == "prime" else self._exp[q1 - self._log[a]]
+        return out if isinstance(out, np.ndarray) else int(out)
 
     def sum(self, arr: np.ndarray, axis=None):
-        """Field sum along an axis: modular for prime fields, accumulated and
-        returned as int64; xor-reduce for binary ones, which cannot overflow
-        and so keeps an integer array's dtype."""
+        """Field sum along an axis: modular for prime fields, accumulated in
+        int64; xor-reduce for binary ones, which cannot overflow."""
         if self.spec.kind == "prime":
-            return np.asarray(arr).sum(axis=axis, dtype=np.int64) % self._p
-        arr = np.asarray(arr)
-        return np.bitwise_xor.reduce(arr if arr.dtype.kind in "ui" else arr.astype(np.int64), axis=axis)
+            return self._narrow(np.asarray(arr).sum(axis=axis, dtype=np.int64) % self._p)
+        arr = np.asarray(arr).astype(self.symbol_dtype, copy=False)
+        return np.bitwise_xor.reduce(arr, axis=axis)
 
     def __repr__(self) -> str:
-        base = f"GF({self.spec.modulus})" if self.spec.kind == "prime" else f"GF(2^{self.spec.modulus})"
-        return f"Field({base})"
+        return f"Field({self._name})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and other.spec == self.spec

@@ -16,17 +16,17 @@ plus the maps built so far), as ``CodeSpec`` does for ``coeff_matrix()`` and
 for repair's round-1 points, so a code pays for them once per erasure
 pattern rather than once per call or stripe.
 
-The multiply-accumulate takes one of two paths, chosen by shape alone.  When
-the distinct rows' lookup rows together hold no more entries than one stripe
-run (rows x order <= stripes: whole files, few rows), each map coefficient c
-becomes ``Field.scale_table(c)`` and every term is one table lookup in the
-symbols' own narrow dtype, summed by XOR or by a narrow add with conditional
-subtract.  Otherwise (one stripe over many distinct rows, as in the
-library's universal codes, or a file of few stripes) each term gathers its
-per-system coefficient and multiplies through ``Field.mul`` in int64.  The
-rule bounds the lookup rows kept with each map to parity x known x stripes
-symbols, no more than the stripes they serve.  Either way the result has the
-known symbols' dtype, or the field's symbol dtype where that is wider.
+Known symbols enter through ``Field.as_symbols``, which range-checks them,
+and the result is in the field's ``symbol_dtype``.  The multiply-accumulate
+takes one of two paths, chosen by shape alone.  When the distinct rows'
+lookup rows together hold no more entries than one stripe run (rows x order
+<= stripes: whole files, few rows), each map coefficient c becomes
+``Field.scale_table(c)`` and every term is one table lookup, summed by XOR or
+by a narrow add with conditional subtract.  Otherwise (one stripe over many
+distinct rows, as in the library's universal codes, or a file of few
+stripes) each term gathers its per-system coefficient and multiplies through
+``Field.mul``.  The rule bounds the lookup rows kept with each map to parity
+x known x stripes symbols, no more than the stripes they serve.
 """
 
 from __future__ import annotations
@@ -127,8 +127,7 @@ class _RowGroups:
         return self.maps[key]
 
     def complete(self, parity: int, known_pos: Sequence[int], known_vals: np.ndarray) -> np.ndarray:
-        """recover_batched on the grouped points matrix, in known_vals' dtype
-        (or the field's symbol dtype, where that is wider)."""
+        """recover_batched on the grouped points matrix."""
         nsys, npts = len(self.inverse), self.rows.shape[1]
         known_pos = np.asarray(known_pos, dtype=np.int64)
         nknown = npts - parity
@@ -139,17 +138,14 @@ class _RowGroups:
         unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
         if len(unknown_pos) != parity:
             raise ValueError("known positions out of range or repeated")
-        known_vals = np.asarray(known_vals)
-        if known_vals.dtype.kind not in "ui":
-            known_vals = known_vals.astype(np.int64)
+        known_vals = self.field.as_symbols(known_vals)
         if known_vals.ndim not in (2, 3) or known_vals.shape[:2] != (nsys, nknown):
             raise ValueError(f"known_vals must have shape ({nsys}, {nknown}[, stripes])")
         vals = known_vals if known_vals.ndim == 3 else known_vals[:, :, None]
         stripes = vals.shape[2]
         # unknown-major, then stripe-major: each coordinate's (stripes,
         # systems) block is contiguous, the layout of a shard's payload
-        dtype = np.promote_types(vals.dtype, self.field.symbol_dtype)
-        out = np.empty((parity, stripes, nsys), dtype=dtype)
+        out = np.empty((parity, stripes, nsys), dtype=vals.dtype)
         if parity:
             entry = self.map_for(parity, known_pos, unknown_pos)
             if self.lookup_pays(stripes):
@@ -173,11 +169,7 @@ class _RowGroups:
 
     def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
         field = self.field
-        if vals.size and (vals.min() < 0 or vals.max() >= field.order):
-            raise ValueError("symbols must be field elements")
         bytewise = field.symbol_dtype == np.uint8
-        if bytewise:
-            vals = vals.astype(np.uint8, copy=False)
 
         def lookup_row(c):
             row = field.scale_table(c)
@@ -239,8 +231,8 @@ def recover_batched(
     known_vals: (B, N-parity) symbols at those coordinates, or (B, N-parity, S)
     for S stripes that share each system's points.  Returns (B, parity), or
     (B, parity, S), symbols for the remaining coordinates in ascending
-    position order, in known_vals' integer dtype (or the field's symbol
-    dtype, where that is wider).
+    position order, in the field's symbol dtype.  Raises ValueError for a
+    known symbol outside the field.
     """
     points = np.asarray(points, dtype=np.int64)
     if points.ndim != 2:

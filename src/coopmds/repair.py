@@ -108,8 +108,7 @@ class RepairMessage:
     u=0 row and the failed node whose digit varies, making each symbol
     self-describing.  Round 1 varies the receiver's digit, round 2 the
     sender's.  A trailing payload axis, when present, spans stripes that
-    share tags.  The payload keeps the integer dtype of the columns it sums
-    (the CLI's narrow symbols, or int64).
+    share tags.  The protocol's payloads are in the field's symbol dtype.
     """
 
     round: int
@@ -120,8 +119,6 @@ class RepairMessage:
 
     def __post_init__(self):
         self.payload = np.asarray(self.payload)
-        if self.payload.dtype.kind not in "ui":
-            self.payload = self.payload.astype(np.int64)
         self.tags = np.asarray(self.tags, dtype=np.int64)
         if self.tags.shape != (self.payload.shape[0], 2):
             raise ValueError("need one (base row, varied node) tag per payload entry")
@@ -329,7 +326,7 @@ def _inbox(
 def _helper_message(
     spec: CodeSpec, geom: _Geometry, helper: int, failed: int, column: np.ndarray
 ) -> RepairMessage:
-    col = np.asarray(column)
+    col = spec.field.as_symbols(column)
     if col.ndim not in (1, 2) or col.shape[0] != spec.params.l:
         raise ValueError(f"column must have {spec.params.l} rows")
     sums = spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)

@@ -247,6 +247,20 @@ def test_decode_rejects_a_broken_surplus_shard(tmp_path, capsys, damage):
     assert "shard_005.cmds" in capsys.readouterr().err
 
 
+def test_a_zero_byte_shard_fails_decode_and_verify_as_bad_magic(tmp_path, capsys):
+    _, outdir, _ = encode_default(tmp_path)
+    (outdir / "shard_004.cmds").write_bytes(b"")
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_004.cmds: bad magic" in capsys.readouterr().err
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    doc = json.loads(capsys.readouterr().out)
+    assert {"shard": "shard_004.cmds", "ok": False, "error": "bad magic"} in doc["shards"]
+    assert doc["ok"] is False
+
+
 # ---- verify -----------------------------------------------------------------
 
 
@@ -353,7 +367,7 @@ def test_verify_report_names_the_oracle_witness(tmp_path, capsys, field, family,
     for node in range(1, n + 1):
         raw = (outdir / f"shard_{node:03d}.cmds").read_bytes()
         headers[node], off = ShardHeader.parse(raw)
-        columns[node] = _bytes_to_symbols(raw[off:], field).reshape(headers[node].stripes, -1).T
+        columns[node] = _bytes_to_symbols(raw[off:], headers[node].spec.field).reshape(headers[node].stripes, -1).T
     spec = headers[1].spec
     # edit one symbol in a late stripe, or two in one row that cancel the t=0 check
     row, stripe = spec.params.l - 1, headers[1].stripes - 2
@@ -361,7 +375,7 @@ def test_verify_report_names_the_oracle_witness(tmp_path, capsys, field, family,
     for node, delta in edits.items():
         columns[node] = columns[node].copy()
         columns[node][row, stripe] = spec.field.add(int(columns[node][row, stripe]), delta)
-        payload = _symbols_to_bytes(columns[node].T, field)
+        payload = _symbols_to_bytes(columns[node].T, spec.field)
         header = ShardHeader(spec, node, headers[node].stripes, headers[node].orig_len, zlib.crc32(payload))
         (outdir / f"shard_{node:03d}.cmds").write_bytes(header.to_bytes() + payload)
     cells = np.stack([columns[node] for node in range(1, n + 1)], axis=1)
@@ -414,8 +428,8 @@ def test_an_odd_byte_count_pads_one_byte_on_the_lookup_path(tmp_path):
     for node in (1, 2):
         header, off = ShardHeader.parse((outdir / f"shard_00{node}.cmds").read_bytes())
         assert header.stripes == 196_609 and header.orig_len == len(raw)
-        data.append(_bytes_to_symbols((outdir / f"shard_00{node}.cmds").read_bytes()[off:], 65536))
-    blob = _symbols_to_bytes(np.stack([col.reshape(-1, 3) for col in data], axis=2), 65536)
+        data.append(_bytes_to_symbols((outdir / f"shard_00{node}.cmds").read_bytes()[off:], header.spec.field))
+    blob = _symbols_to_bytes(np.stack([col.reshape(-1, 3) for col in data], axis=2), header.spec.field)
     assert blob[: len(raw)] == raw and not any(blob[len(raw) :])  # the pad byte is zero
     before = shard_hashes(outdir)
     assert main(["verify", str(outdir)]) == EXIT_OK

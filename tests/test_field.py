@@ -85,7 +85,7 @@ def test_gf256_product_table_matches_carryless_reference_on_all_pairs():
     a, b = np.divmod(np.arange(1 << 16, dtype=np.int64), 256)
     expect = [_clmul_reduce(int(x), int(y), _REDUCTION_POLY[8], 8) for x, y in zip(a, b)]
     got = f.mul(a, b)
-    assert got.dtype == np.int64
+    assert got.dtype == f.symbol_dtype
     assert got.tolist() == expect
 
 
@@ -99,7 +99,7 @@ def test_wide_binary_array_mul_matches_carryless_reference(w):
     a[:40] = 0  # zero on the left, then on the right, then both
     b[20:60] = 0
     got = f.mul(a, b)
-    assert got.dtype == np.int64
+    assert got.dtype == f.symbol_dtype
     assert got.tolist() == [_clmul_reduce(int(x), int(y), poly, w) for x, y in zip(a, b)]
     # a per-row coefficient against a row of stripes, as the codec multiplies
     coef = rng.integers(0, q, size=(6, 1))
@@ -107,7 +107,7 @@ def test_wide_binary_array_mul_matches_carryless_reference(w):
     stripes = rng.integers(0, q, size=(6, 50))
     stripes[1, :5] = 0
     got = f.mul(coef, stripes)
-    assert got.shape == (6, 50) and got.dtype == np.int64
+    assert got.shape == (6, 50) and got.dtype == f.symbol_dtype
     expect = [[_clmul_reduce(int(c[0]), int(x), poly, w) for x in row] for c, row in zip(coef, stripes)]
     assert got.tolist() == expect
 
@@ -118,7 +118,7 @@ def test_log_exp_tables_match_the_stepwise_build(w):
     q = f.order
     generator, exp, log = log_exp_tables(w)
     assert f.generator == generator
-    assert f._exp.dtype == np.int64 and f._exp.shape == (4 * (q - 1) + 1,)
+    assert f._exp.dtype == f.symbol_dtype and f._exp.shape == (4 * (q - 1) + 1,)
     assert np.array_equal(f._exp[: 2 * (q - 1)], exp)
     assert not f._exp[2 * (q - 1) :].any()
     assert f._log.dtype == np.int32

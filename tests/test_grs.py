@@ -247,7 +247,7 @@ def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path):
         if f.order > np.iinfo(dtype).max + 1:
             continue
         got = groups.complete(2, known_pos, vals.astype(dtype))
-        assert got.dtype == np.promote_types(dtype, f.symbol_dtype)
+        assert got.dtype == f.symbol_dtype
         assert np.array_equal(got, expect), dtype
 
 
@@ -264,7 +264,7 @@ def test_a_stray_symbol_raises_on_the_lookup_path():
     for stray, dtype in ((14, np.uint8), (13, np.uint8), (-1, np.int64)):
         bad = vals.astype(dtype)
         bad[0, 1, 7] = stray
-        with pytest.raises(ValueError, match="field elements"):
+        with pytest.raises(ValueError, match=rf"symbol {stray} is outside GF\(13\)"):
             groups.complete(2, [0, 1], bad)
     assert np.array_equal(groups.complete(2, [0, 1], vals), good)
 

@@ -4,11 +4,12 @@ Symbols are integers in ``[0, order)``; prime fields interpret them as
 residues, binary fields as polynomial-basis bit vectors.  In memory a symbol
 array has one format, the field's ``symbol_dtype``: uint8 up to order 256,
 uint16 above.  ``as_symbols`` is the one way in: it range-checks any integer
-array and returns it in that dtype.  Every operation accepts a scalar int or
-an array of any integer dtype and returns the same shape, arrays in
-``symbol_dtype``, so callers can run row-parallel arithmetic without a
-separate API.  ``scale_table`` gives the products c·x for every x, for
-kernels that look products up one constant at a time.
+array and returns it in that dtype.  Every operation takes scalar ints or
+arrays of any integer dtype holding field elements and returns the same
+shape, arrays in ``symbol_dtype`` (prime fields compute in the narrowest
+unsigned dtype that holds the intermediates, never int64), so callers can
+run row-parallel arithmetic without a separate API.  ``scale_table`` gives
+the products c·x for every x, one row per constant c.
 
 The element enumeration 0, 1, 2, ... is the canonical order used everywhere a
 construction asks for "distinct field elements"; it is deterministic across
@@ -132,6 +133,8 @@ class Field:
         self._name = f"GF({spec.modulus})" if spec.kind == "prime" else f"GF(2^{spec.modulus})"
         if spec.kind == "prime":
             self._p = spec.modulus
+            # holds 2p: the sum of two residues, or a wrapped difference plus p
+            self._op_dtype = np.dtype(np.min_scalar_type(2 * self._p))
             inv = np.zeros(self._p, dtype=self.symbol_dtype)
             for a in range(1, self._p):
                 inv[a] = pow(a, self._p - 2, self._p)
@@ -244,55 +247,70 @@ class Field:
         return a.astype(self.symbol_dtype, copy=False)
 
     # ---- basic operations ----------------------------------------------
-    #
-    # Array results come back in symbol_dtype.  Prime-field operands are
-    # widened to int64 first, since a sum or product of two uint8 or uint16
-    # residues can wrap in its own dtype, and the reduced result is cast back.
 
     def _narrow(self, x):
         return x.astype(self.symbol_dtype, copy=False) if isinstance(x, np.ndarray) else x
 
+    def _mod(self, t):
+        """Unsigned t mod p in symbol_dtype; numpy's vectorised floor division
+        by a scalar is about ten times faster than its % on uint8."""
+        return (t - t // self._p * self._p).astype(self.symbol_dtype, copy=False)
+
+    def _residue(self, a, b, plus: bool):
+        """a + b or a - b mod p.  Scalars take Python's %.  Arrays wrap in
+        _op_dtype, then take min(t, t - p) after a sum and min(t, t + p)
+        after a difference: the wrong candidate has wrapped past the top."""
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return (int(a) + int(b) if plus else int(a) - int(b)) % self._p
+        op = np.add if plus else np.subtract
+        t = np.asarray(op(a, b, dtype=self._op_dtype, casting="unsafe"))
+        u = t - self._p if plus else t + self._p
+        return self._narrow(np.minimum(t, u, out=u if isinstance(u, np.ndarray) else None))
+
     def add(self, a, b):
-        if self.spec.kind == "prime":
-            return self._narrow((_wide(a) + _wide(b)) % self._p)
-        return self._narrow(a ^ b)
+        return self._narrow(a ^ b) if self.spec.kind == "binary" else self._residue(a, b, True)
 
     def sub(self, a, b):
-        if self.spec.kind == "prime":
-            return self._narrow((_wide(a) - _wide(b)) % self._p)
-        return self._narrow(a ^ b)
+        return self._narrow(a ^ b) if self.spec.kind == "binary" else self._residue(a, b, False)
 
     def neg(self, a):
-        if self.spec.kind == "prime":
-            return self._narrow((-_wide(a)) % self._p)
-        return self._narrow(a)
+        return self._narrow(a) if self.spec.kind == "binary" else self._residue(0, a, False)
 
     def mul(self, a, b):
         """Product; arrays broadcast."""
-        if self._product is not None and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-            # an int64 index; b widens to it in the |
-            return self._product[(np.asarray(a, dtype=np.int64) << self._product_shift) | b]
-        if self.spec.kind == "prime":
-            return self._narrow((_wide(a) * _wide(b)) % self._p)
-        # zero operands hit the sentinel log and land in exp's zero tail
-        out = self._exp[self._log[a] + self._log[b]]
-        return out if isinstance(out, np.ndarray) else int(out)
-
-    def scale_table(self, c: int) -> np.ndarray:
-        """The read-only row x -> c·x for x = 0..order-1, in ``symbol_dtype``,
-        for per-constant lookups (Plank, Greenan and Miller, FAST 2013).  It
-        has exactly ``order`` entries, so looking up a symbol outside the
-        field raises IndexError instead of reading another product.
-        """
-        c = int(c)
-        if not 0 <= c < self.order:
-            raise ValueError(f"{c} is not an element of {self!r}")
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            if self.spec.kind == "prime":
+                return int(a) * int(b) % self._p
+            return int(self._exp[self._log[a] + self._log[b]])
         if self._product is not None:
-            start = c << self._product_shift
-            return self._product[start : start + self.order]
-        row = self.mul(c, np.arange(self.order))
-        row.setflags(write=False)
-        return row
+            # order <= 256, so the index (a << shift) | b fits in uint16
+            index = np.left_shift(a, self._product_shift, dtype=np.uint16, casting="unsafe")
+            return self._product[np.bitwise_or(index, b, dtype=np.uint16, casting="unsafe")]
+        if self.spec.kind == "prime":
+            # p <= 65,535, so a product of two residues fits in uint32
+            return self._mod(np.multiply(a, b, dtype=np.uint32, casting="unsafe"))
+        # zero operands hit the sentinel log and land in exp's zero tail
+        return self._exp[self._log[a] + self._log[b]]
+
+    def scale_table(self, c) -> np.ndarray:
+        """The read-only rows x -> c·x for x = 0..order-1 of the constants c,
+        shape ``c.shape + (order,)`` in ``symbol_dtype``, for per-constant
+        lookups (Plank, Greenan and Miller, FAST 2013).  A row has exactly
+        ``order`` entries, so looking up a symbol outside the field raises
+        IndexError instead of reading another product.
+        """
+        c = np.asarray(c)
+        if c.size and (c.min() < 0 or c.max() >= self.order):
+            raise ValueError(f"{c} is not an element of {self!r}")
+        if self._product is not None or self.spec.kind == "prime":
+            rows = self.mul(c[..., None], np.arange(self.order))
+        else:  # c·x = exp[log c + log x]: exp from log c on, read at the logs
+            rows = np.empty(c.shape + (self.order,), self.symbol_dtype)
+            log = self._log.astype(np.intp)  # no temporary bigger than this
+            for row, lc in zip(rows.reshape(-1, self.order), self._log[c].ravel()):
+                np.take(self._exp[lc:], log, out=row)
+        rows.setflags(write=False)
+        return rows
 
     def inv(self, a):
         if np.any(np.asarray(a) == 0):
@@ -302,12 +320,14 @@ class Field:
         return out if isinstance(out, np.ndarray) else int(out)
 
     def sum(self, arr: np.ndarray, axis=None):
-        """Field sum along an axis: modular for prime fields, accumulated in
-        int64; xor-reduce for binary ones, which cannot overflow."""
+        """Field sum along an axis: for prime fields accumulated in the
+        narrowest unsigned dtype that holds count·(p-1) and reduced once;
+        xor-reduce for binary ones, which cannot overflow."""
+        arr = np.asarray(arr)
         if self.spec.kind == "prime":
-            return self._narrow(np.asarray(arr).sum(axis=axis, dtype=np.int64) % self._p)
-        arr = np.asarray(arr).astype(self.symbol_dtype, copy=False)
-        return np.bitwise_xor.reduce(arr, axis=axis)
+            count = arr.size if axis is None else arr.shape[axis]
+            return self._mod(arr.sum(axis=axis, dtype=np.min_scalar_type(count * (self._p - 1))))
+        return np.bitwise_xor.reduce(arr.astype(self.symbol_dtype, copy=False), axis=axis)
 
     def __repr__(self) -> str:
         return f"Field({self._name})"
@@ -317,11 +337,6 @@ class Field:
 
     def __hash__(self) -> int:
         return hash(self.spec)
-
-
-def _wide(a):
-    """Numpy operands as int64; Python ints pass through unchanged."""
-    return a.astype(np.int64, copy=False) if isinstance(a, (np.ndarray, np.generic)) else a
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +356,6 @@ def make_field(spec: "FieldSpec | str", modulus: int | None = None) -> Field:
 
 def smallest_field_spec(min_order: int) -> FieldSpec:
     """Smallest supported field (prime or GF(2^w)) with order >= min_order."""
-    if min_order > 0x10000:
-        raise ValueError(f"no supported field of order >= {min_order}")
     q = max(2, min_order)
     while True:
         if q > 2 and (q & (q - 1)) == 0:

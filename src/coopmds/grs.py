@@ -17,16 +17,20 @@ for repair's round-1 points, so a code pays for them once per erasure
 pattern rather than once per call or stripe.
 
 Known symbols enter through ``Field.as_symbols``, which range-checks them,
-and the result is in the field's ``symbol_dtype``.  The multiply-accumulate
-takes one of two paths, chosen by shape alone.  When the distinct rows'
-lookup rows together hold no more entries than one stripe run (rows x order
-<= stripes: whole files, few rows), each map coefficient c becomes
-``Field.scale_table(c)`` and every term is one table lookup, summed by XOR or
-by a narrow add with conditional subtract.  Otherwise (one stripe over many
-distinct rows, as in the library's universal codes, or a file of few
-stripes) each term gathers its per-system coefficient and multiplies through
-``Field.mul``.  The rule bounds the lookup rows kept with each map to parity
-x known x stripes symbols, no more than the stripes they serve.
+and every step keeps them in the field's ``symbol_dtype``.  A map keeps a
+product table per term (unknown i, known j): the ``Field.scale_table`` rows
+of its coefficient on every distinct row.  Terms are summed by ``Field.add``
+on one of three paths, chosen by shape alone so that the tables kept with a
+map never outgrow parity x known x systems x stripes symbols:
+
+- rows x order <= stripes (whole files, few rows): each row's systems look
+  their products up, byte symbols through ``bytes.translate``;
+- rows x order <= systems x stripes (one stripe over many distinct rows, as
+  in the universal codes): every system reads its row's tables at row x
+  order + symbol, one index per known coordinate shared by all unknowns;
+- otherwise (a wide field over few systems, where tables would cost more
+  than the products): each term multiplies its gathered per-system
+  coefficients through ``Field.mul``.
 """
 
 from __future__ import annotations
@@ -44,35 +48,24 @@ def solve_batched(field: Field, mats: np.ndarray, rhs: np.ndarray) -> np.ndarray
     mats has shape (B, q, q) and rhs (B, q); both are left untouched.  Raises
     ValueError if any system is singular.
     """
-    mats = np.array(mats, dtype=np.int64)
-    rhs = np.array(rhs, dtype=np.int64)
+    mats, rhs = np.asarray(mats), np.asarray(rhs)
     nsys, q, q2 = mats.shape
     if q != q2 or rhs.shape != (nsys, q):
         raise ValueError("batch shape mismatch")
-    if q == 0:
-        return rhs
+    # Gauss-Jordan on [mats | rhs], a fresh array
+    aug = np.concatenate([mats, rhs[:, :, None]], axis=2)
     bidx = np.arange(nsys)
     for col in range(q):
-        piv_off = (mats[:, col:, col] != 0).argmax(axis=1)
-        piv_row = col + piv_off
-        if (mats[bidx, piv_row, col] == 0).any():
+        piv_row = col + (aug[:, col:, col] != 0).argmax(axis=1)
+        pivot = aug[bidx, piv_row]
+        if (pivot[:, col] == 0).any():
             raise ValueError("singular system in batch")
-        swap = piv_row != col
-        if swap.any():
-            tmp = mats[bidx, piv_row].copy()
-            mats[bidx, piv_row] = mats[:, col]
-            mats[:, col] = tmp
-            tmp = rhs[bidx, piv_row].copy()
-            rhs[bidx, piv_row] = rhs[:, col]
-            rhs[:, col] = tmp
-        ip = field.inv(mats[:, col, col])
-        mats[:, col, :] = field.mul(mats[:, col, :], ip[:, None])
-        rhs[:, col] = field.mul(rhs[:, col], ip)
-        fac = mats[:, :, col].copy()
+        aug[bidx, piv_row] = aug[:, col]
+        aug[:, col] = field.mul(pivot, field.inv(pivot[:, col])[:, None])
+        fac = aug[:, :, col].copy()
         fac[:, col] = 0
-        mats = field.sub(mats, field.mul(fac[:, :, None], mats[:, col : col + 1, :]))
-        rhs = field.sub(rhs, field.mul(fac, rhs[:, col][:, None]))
-    return rhs
+        aug = field.sub(aug, field.mul(fac[:, :, None], aug[:, col : col + 1, :]))
+    return aug[:, :, q]
 
 
 class _RowGroups:
@@ -99,18 +92,13 @@ class _RowGroups:
         else:
             self.rows, inverse = np.unique(points, axis=0, return_inverse=True)
         self.inverse = inverse.reshape(nsys).astype(np.min_scalar_type(max(len(self.rows) - 1, 0)))
-        # (parity, known positions) -> [map, its lookup rows once built]
+        # (parity, known positions) -> [map, its product tables once built]
         self.maps: dict[tuple[int, tuple[int, ...]], list] = {}
 
-    def lookup_pays(self, stripes: int) -> bool:
-        """Whether complete() over this many stripes uses lookup rows: only
-        when all distinct rows' tables fit in one stripe run."""
-        return len(self.rows) * self.field.order <= stripes
-
     def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> list:
-        """[maps, lookup rows]: maps[u] with unknowns = maps[u] @ knowns on
-        distinct row u, shape (rows, parity, len(known_pos)), and the lookup
-        rows of its coefficients once the lookup path has built them."""
+        """[maps, tables]: maps[u] with unknowns = maps[u] @ knowns on
+        distinct row u, shape (rows, parity, len(known_pos)), and its product
+        tables once a path has built them."""
         key = (parity, tuple(known_pos.tolist()))
         if key not in self.maps:
             field, rows = self.field, self.rows
@@ -125,6 +113,13 @@ class _RowGroups:
             sol = solve_batched(field, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))
             self.maps.setdefault(key, [sol.reshape(nrows, nknown, parity).transpose(0, 2, 1), None])
         return self.maps[key]
+
+    def _tables(self, entry: list) -> np.ndarray:
+        """The map's product tables, shape (parity, known, rows, order): term
+        (i, j) of distinct row u reads tables[i, j, u, v] = maps[u, i, j]·v."""
+        if entry[1] is None:  # threads that race build equal tables; either serves
+            entry[1] = self.field.scale_table(entry[0].transpose(1, 2, 0))
+        return entry[1]
 
     def complete(self, parity: int, known_pos: Sequence[int], known_vals: np.ndarray) -> np.ndarray:
         """recover_batched on the grouped points matrix."""
@@ -148,73 +143,65 @@ class _RowGroups:
         out = np.empty((parity, stripes, nsys), dtype=vals.dtype)
         if parity:
             entry = self.map_for(parity, known_pos, unknown_pos)
-            if self.lookup_pays(stripes):
+            cells = len(self.rows) * self.field.order  # in one term's tables
+            if cells <= stripes:
                 self._apply_by_lookup(entry, vals, out)
+            elif cells <= nsys * stripes:
+                self._apply_by_gather(entry, vals, out)
             else:
-                self._apply_by_gather(entry[0], vals, out)
+                self._apply_by_multiply(entry[0], vals, out)
         out = out.transpose(2, 0, 1)
         return out if known_vals.ndim == 3 else out[:, :, 0]
 
-    def _apply_by_gather(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
-        field = self.field
-        # widened once: a 1-D gather with a native index is the fast one
-        inverse = self.inverse.astype(np.intp)
+    def _apply_by_gather(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
+        parity, nknown = entry[0].shape[1:]
+        tables = self._tables(entry).reshape(parity, nknown, -1)
+        # row u's tables start at u·order; a native index gathers fastest
+        base = self.inverse.astype(np.intp)[:, None] * self.field.order
+        accs = [None] * parity
+        for j in range(nknown):
+            index = base + vals[:, j]  # shared by every unknown
+            for i in range(parity):
+                term = tables[i, j][index]
+                accs[i] = term if j == 0 else self.field.add(accs[i], term)
+        for i, acc in enumerate(accs):
+            out[i] = acc.T
+
+    def _apply_by_multiply(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
+        field, inverse = self.field, self.inverse.astype(np.intp)
         for i in range(maps.shape[1]):
             acc = None
             for j in range(maps.shape[2]):
-                coef = np.ascontiguousarray(maps[:, i, j])[inverse]
-                term = field.mul(coef[:, None], vals[:, j])
+                term = field.mul(maps[:, i, j][inverse][:, None], vals[:, j])
                 acc = term if acc is None else field.add(acc, term)
             out[i] = acc.T
 
     def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
         field = self.field
         bytewise = field.symbol_dtype == np.uint8
-
-        def lookup_row(c):
-            row = field.scale_table(c)
-            # a 256-byte string for bytes.translate; no symbol reaches the pad
-            return row.tobytes().ljust(256, b"\0") if bytewise else row
-
-        if entry[1] is None:  # threads that race build equal rows; either serves
-            entry[1] = [[[lookup_row(c) for c in row] for row in m] for m in entry[0]]
-        for u, tables in enumerate(entry[1]):
+        tables = self._tables(entry)
+        for u in range(len(self.rows)):
             sel = np.flatnonzero(self.inverse == u)
             if sel[-1] - sel[0] + 1 == len(sel):
                 sel = slice(sel[0], sel[-1] + 1)  # consecutive systems: views, no copies
             x = vals[sel]
-            accs = []
+            accs = [None] * len(tables)
             for j in range(x.shape[1]):
                 index = x[:, j].tobytes() if bytewise else x[:, j]
-                for i, row in enumerate(tables):
-                    term = _take(row[j], index, x[:, j].shape)
-                    if j:
-                        accs[i] = _add(field, accs[i], term)
-                    else:
-                        accs.append(term)
+                for i, rows in enumerate(tables):
+                    term = _take(rows[j, u], index, x[:, j].shape)
+                    accs[i] = term if j == 0 else field.add(accs[i], term)
             for i, acc in enumerate(accs):
                 out[i][:, sel] = acc.T
 
 
-def _take(row: "bytes | np.ndarray", index: "bytes | np.ndarray", shape: tuple) -> np.ndarray:
-    """row[index] for one lookup row.  Byte symbols go through bytes.translate,
-    one C pass over a 256-entry table and several times faster than a numpy
-    gather; wider ones are a gather."""
-    if isinstance(row, bytes):
-        return np.frombuffer(index.translate(row), np.uint8).reshape(shape)
+def _take(row: np.ndarray, index: "bytes | np.ndarray", shape: tuple) -> np.ndarray:
+    """row[index]: for byte symbols one C pass of bytes.translate, several
+    times faster than a gather (no symbol reaches the zero pad)."""
+    if isinstance(index, bytes):
+        table = row.tobytes().ljust(256, b"\0")
+        return np.frombuffer(index.translate(table), np.uint8).reshape(shape)
     return row[index]
-
-
-def _add(field: Field, acc: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """acc + term for narrow symbols of the field, as a new array."""
-    if field.spec.kind == "binary":
-        return acc ^ term
-    p = field.order
-    total = acc + term
-    # take p off where the sum reached p, or wrapped past the dtype's top
-    # (then total < term, and total - p wraps back into the field)
-    np.subtract(total, p, out=total, where=(total >= p) | (total < term))
-    return total
 
 
 def recover_batched(

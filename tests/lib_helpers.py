@@ -1,7 +1,8 @@
 """Small forms of library operations that only the tests use: field
-division and powers, one Vandermonde system or erasure pattern at a time, one
-node and row of a code, row labels as digit vectors, and the index sets the
-repair argument is stated in.  Unlike oracles.py, these call library code.
+division and powers, a record of the completion path taken, one Vandermonde
+system or erasure pattern at a time, one node and row of a code, row labels
+as digit vectors, and the index sets the repair argument is stated in.
+Unlike oracles.py, these call library code.
 """
 
 from __future__ import annotations
@@ -14,7 +15,22 @@ import numpy as np
 
 from coopmds.codespec import CodeSpec, build_A, card_A
 from coopmds.field import Field
-from coopmds.grs import recover_batched, solve_batched
+from coopmds.grs import _RowGroups, recover_batched, solve_batched
+
+
+def spy_completion_paths(monkeypatch) -> list:
+    """Make every _RowGroups completion record (path, distinct rows, systems,
+    stripes) in the returned list, path being lookup, gather or multiply."""
+    taken = []
+    for path in ("lookup", "gather", "multiply"):
+        method = getattr(_RowGroups, f"_apply_by_{path}")
+
+        def spy(self, entry, vals, out, path=path, method=method):
+            taken.append((path, len(self.rows), len(self.inverse), vals.shape[2]))
+            return method(self, entry, vals, out)
+
+        monkeypatch.setattr(_RowGroups, f"_apply_by_{path}", spy)
+    return taken
 
 
 def field_div(field: Field, a, b):

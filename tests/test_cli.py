@@ -24,6 +24,7 @@ from coopmds.cli import (
 from coopmds.cluster import ClusterConfig
 from coopmds.codespec import make_code
 from coopmds.field import FieldSpec
+from lib_helpers import spy_completion_paths
 from oracles import powered_sweep_witness
 
 
@@ -725,18 +726,9 @@ def test_file_ops_stay_within_a_few_copies_of_the_file(tmp_path):
 def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp_path, monkeypatch):
     from coopmds import codec, repair
     from coopmds.codespec import universal_code
-    from coopmds.grs import _RowGroups
+    from coopmds.field import Field
 
-    taken = []
-    for path in ("lookup", "gather"):
-        method = getattr(_RowGroups, f"_apply_by_{path}")
-
-        def spy(self, entry, vals, out, path=path, method=method):
-            taken.append((path, len(self.rows), len(self.inverse), vals.shape[2]))
-            return method(self, entry, vals, out)
-
-        monkeypatch.setattr(_RowGroups, f"_apply_by_{path}", spy)
-
+    taken = spy_completion_paths(monkeypatch)
     # the file_gf256 workload: 1 MiB, (5,2,2,3) over GF(2^8), 174,763 stripes
     src = write_input(tmp_path, size=1 << 20, seed=37)
     outdir = tmp_path / "shards"
@@ -747,11 +739,22 @@ def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp
     assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
     assert taken == [("lookup", 1, 1, 174_763)] * 2
 
-    # cluster_universal: universal_code(4,1), one stripe over many rows
+    # cluster_universal: universal_code(4,1), one stripe over many rows, read
+    # through product tables; no multiply touches a per-system array
+    sizes = []
+    mul = Field.mul
+
+    def sized_mul(self, a, b):
+        sizes.append(max(np.size(a), np.size(b)))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Field, "mul", sized_mul)
     taken.clear()
     spec = universal_code(4, 1)
     data = np.random.default_rng(41).integers(0, 13, size=(spec.params.l, spec.params.k))
     cw = codec.encode_systematic(spec, data)
     ctx = repair.RepairContext((1, 3), (2, 4))
-    repair.repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers})
+    restored, _ = repair.repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers})
     assert taken == [("gather", 81, 944_784, 1)] + [("gather", 162, 314_928, 1)] * 2
+    assert sizes and max(sizes) < 314_928
+    assert all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed)

@@ -282,6 +282,78 @@ def test_array_ops_on_narrow_operands_match_int64(spec):
         assert f.mul(dtype(a[0, 0]), dtype(b[0, 0])) == int(expect["mul"][0, 0])
 
 
+# primes on each side of every dtype boundary of the narrow prime ops: their
+# sums fit uint8 up to p = 127, uint16 up to 32749 and uint32 above, and
+# their symbols are uint8 up to 251 and uint16 from 257
+BOUNDARY_PRIMES = [127, 131, 251, 257, 32749, 32771, 65521]
+
+
+@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
+def test_prime_ops_match_integer_arithmetic_at_every_dtype_boundary(p):
+    f = make_field("prime", p)
+    if p <= 257:  # every pair
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(p), np.arange(p)))
+    else:  # the top of the field, then random pairs
+        rng = np.random.default_rng(p)
+        a = np.concatenate([[p - 1, p - 1, 0, 0, 1], rng.integers(0, p, 20_000)])
+        b = np.concatenate([[p - 1, 0, p - 1, 0, p - 1], rng.integers(0, p, 20_000)])
+    expect = {"add": (a + b) % p, "sub": (a - b) % p, "neg": -a % p}
+    for dtype in (np.uint8, np.uint16, np.int64):
+        if p > np.iinfo(dtype).max + 1:
+            continue
+        an, bn = a.astype(dtype), b.astype(dtype)
+        got = {"add": f.add(an, bn), "sub": f.sub(an, bn), "neg": f.neg(an)}
+        for op, value in got.items():
+            assert value.dtype == f.symbol_dtype and np.array_equal(value, expect[op]), (dtype, op)
+        # a numpy or Python scalar against an array, and scalars alone
+        top = dtype(p - 1)
+        assert np.array_equal(f.add(top, bn), (p - 1 + b) % p)
+        assert np.array_equal(f.sub(an, p - 1), (a - (p - 1)) % p)
+        assert np.array_equal(f.sub(p - 1, bn), (p - 1 - b) % p)
+        assert f.add(top, top) == f.add(p - 1, p - 1) == p - 2
+        assert f.sub(dtype(0), top) == f.sub(0, p - 1) == f.neg(top) == 1
+        assert f.add(top, bn).dtype == f.symbol_dtype
+    # sums whose accumulators are uint8, uint16, uint32 and uint64 wide
+    rng = np.random.default_rng(p + 1)
+    for count in (1, 2, 3, 257, 70_000):
+        m = rng.integers(0, p, size=(count, 3))
+        m[0] = p - 1
+        if count > 2:
+            m[:, 0] = p - 1
+        for dtype in (np.uint16, np.int64):
+            got0, got = f.sum(m.astype(dtype), axis=0), f.sum(m.T.astype(dtype), axis=1)
+            assert got0.dtype == got.dtype == f.symbol_dtype
+            assert np.array_equal(got0, m.sum(axis=0) % p) and np.array_equal(got, m.sum(axis=0) % p)
+            assert f.sum(m.astype(dtype)) == m.sum() % p
+
+
+def test_prime_add_allocates_no_wide_temporaries():
+    import tracemalloc
+
+    f = make_field("prime", 13)
+    rng = np.random.default_rng(13)
+    a = rng.integers(0, 13, 1 << 20, dtype=np.uint8)
+    b = rng.integers(0, 13, 1 << 20, dtype=np.uint8)
+    for op in (f.add, f.sub):
+        tracemalloc.start()
+        try:
+            got = op(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an int64 temporary of 1M symbols alone would take 8 MB
+        assert peak < 3_000_000, f"{op.__name__} peaked at {peak} bytes"
+        assert got.dtype == np.uint8
+    tracemalloc.start()
+    try:
+        f.sum(a.reshape(-1, 4), axis=1)
+        f.neg(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 @pytest.mark.parametrize("spec", NARROW_FIELDS, ids=str)
 def test_scale_table_is_one_read_only_row_of_products(spec):
     f = make_field(spec)
@@ -291,8 +363,17 @@ def test_scale_table_is_one_read_only_row_of_products(spec):
         assert row.dtype == (np.uint8 if f.order <= 256 else np.uint16) == f.symbol_dtype
         assert row.shape == (f.order,) and not row.flags.writeable
         assert np.array_equal(row, f.mul(c, x))
+    # an array of constants gives one row each, as a single constant does
+    cs = np.array([[0, 1], [2, f.order - 1]])
+    rows = f.scale_table(cs)
+    assert rows.shape == (2, 2, f.order) and rows.dtype == f.symbol_dtype
+    assert not rows.flags.writeable
+    for c, row in zip(cs.ravel(), rows.reshape(4, -1)):
+        assert np.array_equal(row, f.scale_table(c)) and np.array_equal(row, f.mul(int(c), x))
     with pytest.raises(ValueError):
         f.scale_table(f.order)
+    with pytest.raises(ValueError):
+        f.scale_table(np.array([1, f.order]))
 
 
 def _fold(f, xs):

@@ -9,7 +9,13 @@ import pytest
 
 from coopmds.field import make_field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
-from lib_helpers import field_pow, grs_erasure_recover, solve_vandermonde, vandermonde_matrix
+from lib_helpers import (
+    field_pow,
+    grs_erasure_recover,
+    solve_vandermonde,
+    spy_completion_paths,
+    vandermonde_matrix,
+)
 from oracles import complete_by_elimination, dual_vandermonde_codewords
 
 # the fields whose narrow symbols the kernels must handle: small and large
@@ -228,17 +234,19 @@ def test_grs_keeps_no_cache_of_its_own(monkeypatch):
 # ---- lookup and gather paths ----------------------------------------------------
 
 
-@pytest.mark.parametrize("path", ["lookup", "gather"])
+@pytest.mark.parametrize("path", ["lookup", "gather", "multiply"])
 @pytest.mark.parametrize("spec", NARROW_FIELDS, ids=lambda spec: f"{spec[0]}-{spec[1]}")
-def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path):
+def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path, monkeypatch):
     f = make_field(*spec)
     rng = np.random.default_rng(f.order)
     distinct = np.stack([rng.choice(f.order, size=5, replace=False) for _ in range(2)])
     # row 0's systems are consecutive (views), row 1's are not (gathers)
     points = distinct[[0, 0, 1, 0, 1]]
     groups = _RowGroups(f, points)
-    stripes = 2 * f.order + 3 if path == "lookup" else 5
-    assert groups.lookup_pays(stripes) == (path == "lookup")
+    # the tables of both rows hold 2 x order entries, against stripes on
+    # the lookup path and 5 systems x stripes on the gather path
+    stripes = {"lookup": 2 * f.order + 3, "gather": f.order, "multiply": 5}[path]
+    taken = spy_completion_paths(monkeypatch)
     known_pos = [0, 2, 3]
     vals = rng.integers(0, f.order, size=(len(points), len(known_pos), stripes))
     vals[:, :, 0] = f.order - 1  # the top of the field, where narrow sums wrap
@@ -249,9 +257,10 @@ def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path):
         got = groups.complete(2, known_pos, vals.astype(dtype))
         assert got.dtype == f.symbol_dtype
         assert np.array_equal(got, expect), dtype
+    assert {t[0] for t in taken} == {path}
 
 
-def test_a_stray_symbol_raises_on_the_lookup_path():
+def test_a_stray_symbol_raises_on_the_lookup_path(monkeypatch):
     f = make_field("prime", 13)
     row = f.scale_table(5)
     assert len(row) == 13
@@ -259,8 +268,9 @@ def test_a_stray_symbol_raises_on_the_lookup_path():
         row[np.array([14], dtype=np.uint8)]  # no padded entry to alias it
     groups = _RowGroups(f, np.array([[1, 2, 3, 4]]))
     vals = np.ones((1, 2, 13), dtype=np.uint8)
-    assert groups.lookup_pays(13)
+    taken = spy_completion_paths(monkeypatch)
     good = groups.complete(2, [0, 1], vals)
+    assert taken == [("lookup", 1, 1, 13)]
     for stray, dtype in ((14, np.uint8), (13, np.uint8), (-1, np.int64)):
         bad = vals.astype(dtype)
         bad[0, 1, 7] = stray
@@ -302,3 +312,38 @@ def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(groups.maps) == 1
+
+
+@pytest.mark.parametrize("stripes", [1, 12])
+@pytest.mark.parametrize("spec", NARROW_FIELDS, ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, stripes, monkeypatch):
+    f = make_field(*spec)
+    rng = np.random.default_rng(f.order + stripes)
+    distinct = np.unique([rng.choice(f.order, size=5, replace=False) for _ in range(200)], axis=0)
+    points = distinct[rng.integers(0, len(distinct), size=5000)]
+    known_pos, parity = [0, 2, 3], 2
+    vals = rng.integers(0, f.order, size=(len(points), len(known_pos), stripes))
+    vals[:3] = f.order - 1  # the top of the field, where narrow sums wrap
+    # the systems of one row share its map, so the oracle completes each
+    # row's systems as the stripes of one system
+    expect = np.empty((len(points), parity, stripes), dtype=np.int64)
+    for u, row in enumerate(distinct):
+        sel = np.flatnonzero((points == row).all(axis=1))
+        as_stripes = np.moveaxis(vals[sel], 0, -1)[None]
+        got = complete_by_elimination(f, row[None], parity, known_pos, as_stripes)
+        expect[sel] = np.moveaxis(got[0], -1, 0)
+    groups = _RowGroups(f, points)
+    taken = spy_completion_paths(monkeypatch)
+    for dtype in (np.uint8, np.uint16, np.int64):
+        if f.order > np.iinfo(dtype).max + 1:
+            continue
+        got = groups.complete(parity, known_pos, vals.astype(dtype))
+        assert got.dtype == f.symbol_dtype
+        assert np.array_equal(got, expect), dtype
+    # a term's tables hold rows x order entries: read when no more than the
+    # systems x stripes they serve, as for GF(13) and, over 12 stripes, the
+    # byte fields; wider fields multiply
+    path = "gather" if len(distinct) * f.order <= len(points) * stripes else "multiply"
+    assert path == ("gather" if f.order == 13 or (f.order <= 256 and stripes == 12) else "multiply")
+    assert {t[0] for t in taken} == {path}
+    assert len(groups.maps) == 1 and (groups.maps[(parity, (0, 2, 3))][1] is None) == (path == "multiply")

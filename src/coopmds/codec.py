@@ -110,11 +110,10 @@ def decode_cells(spec: CodeSpec, nodes: Sequence[int], known: np.ndarray) -> np.
 def encode_systematic(spec: CodeSpec, data: np.ndarray) -> CodewordArray:
     """Place data in columns 1..k and solve columns k+1..n row by row."""
     p = spec.params
-    data = np.asarray(data)
-    if data.shape != (p.l, p.k):
-        raise ValueError(f"data must have shape {(p.l, p.k)}, got {data.shape}")
-    parity = encode_parity(spec, data)  # range-checks data, so the cast below is exact
-    cells = np.concatenate([data, parity], axis=1, dtype=parity.dtype, casting="unsafe")
+    if np.shape(data) != (p.l, p.k):
+        raise ValueError(f"data must have shape {(p.l, p.k)}, got {np.shape(data)}")
+    data = spec.field.as_symbols(data)  # narrowed once: the concatenation reads symbols
+    cells = np.concatenate([data, encode_parity(spec, data)], axis=1)
     return CodewordArray(spec, cells)
 
 

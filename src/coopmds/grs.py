@@ -26,11 +26,10 @@ map never outgrow parity x known x systems x stripes symbols:
 - rows x order <= stripes (whole files, few rows): each row's systems look
   their products up, byte symbols through ``bytes.translate``;
 - rows x order <= systems x stripes (one stripe over many distinct rows, as
-  in the universal codes): every system reads its row's tables at row x
-  order + symbol, one index per known coordinate shared by all unknowns;
+  in the universal codes): each block of 32K symbols reads its rows' tables
+  at row x order + symbol through an index that stays in cache;
 - otherwise (a wide field over few systems, where tables would cost more
-  than the products): each term multiplies its gathered per-system
-  coefficients through ``Field.mul``.
+  than the products): ``Field.mul`` on each term's gathered coefficients.
 """
 
 from __future__ import annotations
@@ -156,16 +155,18 @@ class _RowGroups:
     def _apply_by_gather(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
         parity, nknown = entry[0].shape[1:]
         tables = self._tables(entry).reshape(parity, nknown, -1)
-        # row u's tables start at u·order; a native index gathers fastest
-        base = self.inverse.astype(np.intp)[:, None] * self.field.order
-        accs = [None] * parity
-        for j in range(nknown):
-            index = base + vals[:, j]  # shared by every unknown
-            for i in range(parity):
-                term = tables[i, j][index]
-                accs[i] = term if j == 0 else self.field.add(accs[i], term)
-        for i, acc in enumerate(accs):
-            out[i] = acc.T
+        step = max(1, (1 << 15) // vals.shape[2])  # blocks whose intp indices stay in cache
+        for lo in range(0, len(vals), step):
+            # row u's tables start at u·order; a native index gathers fastest
+            base = self.inverse[lo : lo + step, None].astype(np.intp) * self.field.order
+            accs = [None] * parity
+            for j in range(nknown):
+                index = base + vals[lo : lo + step, j]  # shared by every unknown
+                for i in range(parity):
+                    term = tables[i, j][index]
+                    accs[i] = term if j == 0 else self.field.add(accs[i], term)
+            for i, acc in enumerate(accs):
+                out[i][:, lo : lo + step] = acc.T
 
     def _apply_by_multiply(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
         field, inverse = self.field, self.inverse.astype(np.intp)

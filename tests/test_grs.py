@@ -347,3 +347,21 @@ def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, s
     assert path == ("gather" if f.order == 13 or (f.order <= 256 and stripes == 12) else "multiply")
     assert {t[0] for t in taken} == {path}
     assert len(groups.maps) == 1 and (groups.maps[(parity, (0, 2, 3))][1] is None) == (path == "multiply")
+
+
+@pytest.mark.parametrize("spec", [("prime", 13), ("binary", 8)], ids=["prime-13", "binary-8"])
+def test_the_gather_path_in_blocks_matches_the_multiply_path(spec, monkeypatch):
+    f = make_field(*spec)
+    rng = np.random.default_rng(f.order)
+    distinct = np.unique([rng.choice(f.order, size=4, replace=False) for _ in range(120)], axis=0)
+    points = distinct[rng.integers(0, len(distinct), size=1000)]
+    # 700 stripes make blocks of 46 systems: 21 whole ones and a ragged end
+    vals = rng.integers(0, f.order, size=(len(points), 2, 700)).astype(f.symbol_dtype)
+    groups = _RowGroups(f, points)
+    taken = spy_completion_paths(monkeypatch)
+    got = groups.complete(2, [1, 3], vals)
+    assert [t[0] for t in taken] == ["gather"]
+    maps = groups.map_for(2, np.array([1, 3]), np.array([0, 2]))[0]
+    expect = np.empty((2, 700, len(points)), dtype=f.symbol_dtype)
+    groups._apply_by_multiply(maps, vals, expect)
+    assert np.array_equal(got, expect.transpose(2, 0, 1))

@@ -343,7 +343,9 @@ def cmd_repair(
 
 
 def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> int:
-    """Rebuild the original file from the k lowest-numbered shards, once all check."""
+    """Rebuild the original file from the k lowest-numbered shards, once all
+    check.  When that takes arithmetic, every other shard present must equal
+    the column the decode implies."""
     shards = {s.header.node: s for s in map(_Shard.require, _load_shards(shard_dir))}
     reference = next(iter(shards.values())).header
     spec = reference.spec
@@ -356,6 +358,10 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
         data = np.stack([shards[i].symbols for i in use], axis=2)
     else:
         cells = decode_cells(spec, use, _stack([shards[i] for i in use]))
+        # every surplus shard must hold the column the decode implies
+        for node in sorted(shards)[p.k :]:
+            if not np.array_equal(cells[:, node - 1].T, shards[node].symbols):
+                raise ShardFormatError(f"{shards[node].name}: disagrees with the shards decoded")
         data = np.stack([cells[:, j].T for j in range(p.k)], axis=2)
 
     blob = memoryview(data.astype(_disk_dtype(spec.field), copy=False)).cast("B")
@@ -423,8 +429,7 @@ def cmd_bound(n: int, k: int, h: int, d: int, l: "int | None" = None) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    start = int(lo)
-    stop = int(hi) if hi else start
+    start, stop = int(lo), int(hi or lo)
     if stop < start:
         raise ValueError(f"empty range {text!r}")
     return start, stop
@@ -435,18 +440,7 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
-        [
-            "n",
-            "k",
-            "h",
-            "d",
-            "l",
-            "coop_measured",
-            "coop_bound",
-            "central_measured",
-            "central_bound",
-            "optimal",
-        ]
+        "n k h d l coop_measured coop_bound central_measured central_bound optimal".split()
     )
     for n in range(start, stop + 1):
         for k in range(1, n):
@@ -465,19 +459,12 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
                     }
                     if any(len(v) != 1 for v in measured.values()):
                         raise RuntimeError(f"non-uniform traffic for n={n} k={k} h={h} d={d}")
+                    bounds = cutset_cooperative(h, d, k, p.l), cutset_centralized(h, d, k, p.l)
                     writer.writerow(
-                        [
-                            n,
-                            k,
-                            h,
-                            d,
-                            p.l,
-                            measured["cooperative"].pop(),
-                            _fraction_json(cutset_cooperative(h, d, k, p.l)),
-                            measured["centralized"].pop(),
-                            _fraction_json(cutset_centralized(h, d, k, p.l)),
-                            str(all(r["optimal"] for r in rows)).lower(),
-                        ]
+                        [n, k, h, d, p.l]
+                        + [measured["cooperative"].pop(), _fraction_json(bounds[0])]
+                        + [measured["centralized"].pop(), _fraction_json(bounds[1])]
+                        + [str(all(r["optimal"] for r in rows)).lower()]
                     )
     text = buf.getvalue()
     if out is not None:
@@ -515,10 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("input", type=Path)
     enc.add_argument("outdir", type=Path)
     enc.add_argument("--family", choices=("fixed_subset", "any_subset"), default="fixed_subset")
-    enc.add_argument("--n", type=int, required=True)
-    enc.add_argument("--k", type=int, required=True)
-    enc.add_argument("--h", type=int, required=True)
-    enc.add_argument("--d", type=int, required=True)
+    for name in ("--n", "--k", "--h", "--d"):
+        enc.add_argument(name, type=int, required=True)
     enc.add_argument("--field", type=int, default=256, help="field order (default GF(256))")
     enc.add_argument("--out", type=Path, help="also write the report JSON here")
 
@@ -539,10 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--out", type=Path)
 
     bnd = sub.add_parser("bound", help="print cut-set bandwidth bounds")
-    bnd.add_argument("--n", type=int, required=True)
-    bnd.add_argument("--k", type=int, required=True)
-    bnd.add_argument("--h", type=int, required=True)
-    bnd.add_argument("--d", type=int, required=True)
+    for name in ("--n", "--k", "--h", "--d"):
+        bnd.add_argument(name, type=int, required=True)
     bnd.add_argument("--l", type=int, help="subpacketization (default: fixed-subset value)")
 
     ben = sub.add_parser("bench", help="sweep parameters and measure repair traffic")

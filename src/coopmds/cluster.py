@@ -107,11 +107,8 @@ class TrafficMeter:
         return dict(self._links)
 
     def to_dict(self) -> dict:
-        return {
-            "links": {f"{s}->{r}": c for (s, r), c in sorted(self._links.items())},
-            "total": self.total,
-            "log": self.log,
-        }
+        links = {f"{s}->{r}": c for (s, r), c in sorted(self._links.items())}
+        return {"links": links, "total": self.total, "log": self.log}
 
 
 class NodeState:
@@ -135,12 +132,8 @@ class SimulationReport:
     meter: TrafficMeter
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec,
-            "seed": self.seed,
-            "events": self.events,
-            "meter": self.meter.to_dict(),
-        }
+        meter = self.meter.to_dict()
+        return {"spec": self.spec, "seed": self.seed, "events": self.events, "meter": meter}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

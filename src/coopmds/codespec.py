@@ -24,6 +24,14 @@ Two array-code families are built here, plus their concatenations:
   unchanged.  The universal code is the concatenation over every admissible
   (h, d).
 
+So every mask is a sum of per-digit terms, and the (l, n) mask table is an
+outer sum of small tables, most significant digit outermost: one (|A|, n)
+table per block (block g(F) holds each member's digit at its position in F),
+and for a concatenation one table per component, itself an outer sum.  No
+row is decoded digit by digit.  Masks stay in the narrowest unsigned dtype
+that holds 2·(s_max-1), folded back below s after each sum; ``lam`` and
+``coeff_matrix()`` are in the field's ``symbol_dtype``.
+
 Node indices are 1-based throughout this module, matching the subset-ranking
 arithmetic; array columns are the same nodes 0-based.
 """
@@ -133,9 +141,7 @@ class CodeSpec:
         return isinstance(other, CodeSpec) and self.descriptor() == other.descriptor()
 
     def __hash__(self) -> int:
-        d = self.descriptor()
-        comp = tuple(map(tuple, d.get("components", ())))
-        return hash((d["family"], d["n"], d["k"], d.get("h"), d.get("d"), self.fieldspec, comp))
+        return hash(repr(self.descriptor()))
 
     def __repr__(self) -> str:
         p = self.params
@@ -166,8 +172,7 @@ class CodeSpec:
     def _build_apos(self) -> np.ndarray:
         h, s = self.params.h, self.params.s
         table = np.full(s**h, -1, dtype=np.int64)
-        keys = (self.A * (s ** np.arange(h, dtype=np.int64))[None, :]).sum(axis=1)
-        table[keys] = np.arange(len(self.A))
+        table[self.A @ s ** np.arange(h, dtype=np.int64)] = np.arange(len(self.A))
         return table
 
     def apos_of(self, block: Sequence[int]) -> int:
@@ -180,34 +185,62 @@ class CodeSpec:
 
     # ---- coefficients -------------------------------------------------------
 
+    def _mask_tables(self) -> tuple[int, tuple[np.ndarray, ...]]:
+        """(modulus, tables), least significant digit first: the row with
+        digits a_j (radix len(tables[j])) has mask sum_j tables[j][a_j] mod
+        modulus.  Cached; every table is (radix, n) in the narrowest unsigned
+        dtype that holds 2·(modulus-1)."""
+        return self._derived("mask_tables", self._build_mask_tables)
+
+    def _build_mask_tables(self) -> tuple[int, tuple[np.ndarray, ...]]:
+        p = self.params
+        modulus = self.lam.shape[1]  # s, or s_max for a concatenation
+        dtype = np.min_scalar_type(2 * (modulus - 1))
+        if self.family == "concatenated":
+            # a component's mask is the sum of its own digits mod its own s
+            tables = (_outer_sum(*c._mask_tables(), p.n, dtype) for c in self.components)
+            return modulus, tuple(tables)
+        # one table per h-subset F of the masked nodes (fixed_subset: nodes
+        # 1..h only) in rank order, holding the F-block's digit at each
+        # member's position within F
+        masked = p.h if self.family == "fixed_subset" else p.n
+        tables = [None] * p.m
+        for subset in itertools.combinations(range(masked), p.h):
+            table = np.zeros((len(self.A), p.n), dtype)
+            table[:, subset] = self.A
+            tables[subset_rank([v + 1 for v in subset]) - 1] = table
+        return modulus, tuple(tables)
+
     def mask_columns(self, rows: np.ndarray) -> np.ndarray:
         """Coefficient index (the λ column) per node for the given row
-        numbers; shape (len(rows), n)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        p = self.params
-        if self.family == "fixed_subset":
-            out = np.zeros((len(rows), p.n), dtype=np.int64)
-            out[:, : p.h] = self.A[rows]
-            return out
-        if self.family == "any_subset":
-            return _mask_columns(p.n, p.h, p.s, rows)
-        acc = np.zeros((len(rows), p.n), dtype=np.int64)
-        scale = 1
-        smax = self.lam.shape[1]
-        for c in self.components:
-            sub = (rows // scale) % c.params.l
-            acc += c.mask_columns(sub)
-            scale *= c.params.l
-        return acc % smax
+        numbers, read from the per-block tables at the rows' digits; shape
+        (len(rows), n)."""
+        rest = np.asarray(rows, dtype=np.int64)
+        modulus, tables = self._mask_tables()
+        out = np.zeros((len(rest), self.params.n), tables[0].dtype)
+        for table in tables:
+            rest, digit = np.divmod(rest, len(table))
+            out += table[digit]
+            np.minimum(out, out - modulus, out=out)
+        return out
 
     def coeff_matrix(self) -> np.ndarray:
         """The l×n table of λ values multiplying c_{i,row} in every parity
-        row; cached, read-only."""
+        row, in the field's symbol dtype; cached, read-only."""
         return self._derived("coeff", self._build_coeff)
 
     def _build_coeff(self) -> np.ndarray:
-        masks = self.mask_columns(np.arange(self.params.l))
-        out = self.lam[np.arange(self.params.n), masks]
+        p = self.params
+        modulus, (low, *rest) = self._mask_tables()
+        high = _outer_sum(modulus, rest, p.n, low.dtype)  # masks of the other digits
+        out = np.empty((len(high), len(low), p.n), self.field.symbol_dtype)
+        sums = np.arange(modulus, dtype=low.dtype)[:, None]
+        lam = self.field.as_symbols(self.lam)
+        for i in range(p.n):
+            # node i's λ for every (high mask, low digit), read at the high masks
+            per_high = sums + low[:, i]
+            out[:, :, i] = lam[i][np.minimum(per_high, per_high - modulus)][high[:, i]]
+        out = out.reshape(p.l, p.n)
         out.setflags(write=False)
         return out
 
@@ -259,11 +292,8 @@ class CodeSpec:
         offset += 3
         (ncomp,) = struct.unpack_from("<H", raw, offset)
         offset += 2
-        pairs = []
-        for _ in range(ncomp):
-            ch, cd = struct.unpack_from("<HH", raw, offset)
-            offset += 4
-            pairs.append((ch, cd))
+        pairs = [struct.unpack_from("<HH", raw, offset + 4 * j) for j in range(ncomp)]
+        offset += 4 * ncomp
         if family == "concatenated":
             spec = concat([make_code("any_subset", n, k, ch, cd, fieldspec) for ch, cd in pairs])
         else:
@@ -274,27 +304,20 @@ class CodeSpec:
     def from_descriptor(cls, desc: dict) -> "CodeSpec":
         fieldspec = FieldSpec(desc["field"]["kind"], desc["field"]["modulus"])
         if desc["family"] == "concatenated":
-            return concat(
-                [
-                    make_code("any_subset", desc["n"], desc["k"], h, d, fieldspec)
-                    for h, d in desc["components"]
-                ]
-            )
+            n, k, pairs = desc["n"], desc["k"], desc["components"]
+            return concat([make_code("any_subset", n, k, h, d, fieldspec) for h, d in pairs])
         return make_code(desc["family"], desc["n"], desc["k"], desc["h"], desc["d"], fieldspec)
 
 
-def _mask_columns(n: int, h: int, s: int, rows: np.ndarray) -> np.ndarray:
-    """Any-subset mask for every node: sum over h-subsets F containing the
-    node of the block-g(F) digit at the node's position within F, mod s."""
-    a = build_A(h, s)
-    ca = len(a)
-    acc = np.zeros((len(rows), n), dtype=np.int64)
-    for subset in itertools.combinations(range(1, n + 1), h):
-        g = subset_rank(subset)
-        apos = (rows // ca ** (g - 1)) % ca
-        for z, node in enumerate(subset, start=1):
-            acc[:, node - 1] += a[apos, z - 1]
-    return acc % s
+def _outer_sum(modulus: int, tables: Sequence[np.ndarray], n: int, dtype) -> np.ndarray:
+    """The (product of radices, n) masks of digit tables given least
+    significant first: their outer sum mod modulus, most significant digit
+    outermost, in dtype."""
+    out = np.zeros((1, n), dtype)
+    for table in reversed(tables):
+        out = (out[:, None] + table).reshape(-1, n)
+        np.minimum(out, out - modulus, out=out)
+    return out
 
 
 def min_field_order(family: str, n: int, h: int, s: int) -> int:
@@ -352,13 +375,13 @@ def make_code(
         )
     els = list(range(need))
     if family == "fixed_subset":
-        lam = np.zeros((n, s), dtype=np.int64)
+        lam = np.zeros((n, s), dtype=fobj.symbol_dtype)
         for i in range(h):
             lam[i] = els[i * s : (i + 1) * s]
         for i in range(h, n):
             lam[i, 0] = els[h * s + (i - h)]
     else:
-        lam = np.asarray(els, dtype=np.int64).reshape(n, s)
+        lam = np.asarray(els, dtype=fobj.symbol_dtype).reshape(n, s)
     params = CodeParams(n=n, k=k, r=n - k, h=h, d=d, s=s, l=l, m=m)
     return CodeSpec(family, params, fieldspec, lam)
 
@@ -395,7 +418,7 @@ def concat(codes: Iterable[CodeSpec], *, subpacket_cap: int = DEFAULT_SUBPACKET_
     need = smax * n
     if fobj.order < need:
         raise InadmissibleError(f"field order {fobj.order} below required {need} for concatenation")
-    lam = np.arange(need, dtype=np.int64).reshape(n, smax)
+    lam = np.arange(need, dtype=fobj.symbol_dtype).reshape(n, smax)
     params = CodeParams(n=n, k=k, r=n - k, h=None, d=None, s=None, l=l, m=None)
     return CodeSpec("concatenated", params, fieldspec, lam, components=tuple(flat))
 

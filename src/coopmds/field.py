@@ -51,16 +51,7 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
 
 
 @dataclass(frozen=True)

@@ -78,19 +78,31 @@ class _RowGroups:
         if points.size and (points.min() < 0 or points.max() >= q):
             raise ValueError("points must be field elements")
         self.field = field
-        if q**npts <= np.iinfo(np.int64).max:
-            # one mixed-radix integer per row: a 1-D sort instead of a
-            # lexicographic one over the rows
-            key = np.zeros(nsys, dtype=np.int64)
-            for col in range(npts):
-                key = key * q + points[:, col]
-            keys, inverse = np.unique(key, return_inverse=True)
+        cells = q**npts
+        if cells <= np.iinfo(np.int64).max:
+            # one mixed-radix integer per row, in the narrowest dtype that
+            # holds it: a 1-D sort instead of a lexicographic one over the rows
+            key = points[:, 0].astype(np.min_scalar_type(cells - 1))
+            for col in range(1, npts):
+                key *= q
+                key += points[:, col].astype(key.dtype)
+            if cells <= nsys:
+                # no more keys than systems: a presence table, not a sort
+                present = np.zeros(cells, dtype=bool)
+                present[key] = True
+                keys = np.flatnonzero(present)
+                rank = np.empty(cells, dtype=np.min_scalar_type(max(len(keys) - 1, 0)))
+                rank[keys] = np.arange(len(keys))
+                inverse = rank[key]
+            else:
+                keys, inverse = np.unique(key, return_inverse=True)
             self.rows = np.empty((len(keys), npts), dtype=np.int64)
             for col in reversed(range(npts)):
                 keys, self.rows[:, col] = np.divmod(keys, q)
         else:
             self.rows, inverse = np.unique(points, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(nsys).astype(np.min_scalar_type(max(len(self.rows) - 1, 0)))
+        narrow = np.min_scalar_type(max(len(self.rows) - 1, 0))
+        self.inverse = inverse.reshape(nsys).astype(narrow, copy=False)
         # (parity, known positions) -> [map, its product tables once built]
         self.maps: dict[tuple[int, tuple[int, ...]], list] = {}
 

@@ -178,9 +178,7 @@ class RepairTranscript:
 
     @property
     def bound(self) -> Fraction:
-        if self.mode == "cooperative":
-            return self.cooperative_bound
-        return self.centralized_bound
+        return self.cooperative_bound if self.mode == "cooperative" else self.centralized_bound
 
     @property
     def optimal(self) -> bool:
@@ -356,7 +354,7 @@ def _round1_points(spec: CodeSpec, geom: _Geometry, i: int) -> np.ndarray:
     assert npts - ctx.d == spec.params.r
 
     table, coeff = geom.node_table[i], geom.blocks(spec.coeff_matrix())
-    pts = np.empty((geom.nblk, geom.ncls, geom.stride, npts), dtype=np.int64)
+    pts = np.empty((geom.nblk, geom.ncls, geom.stride, npts), dtype=spec.field.symbol_dtype)
     # node i's coefficient depends on its own digit only, so class 0 serves all
     pts[..., :s] = np.moveaxis(coeff[..., i - 1][:, table[0]], 1, 2)[:, None]
     for idx, ip in enumerate(cross):

@@ -112,6 +112,38 @@ def powered_sweep_witness(spec, cells: np.ndarray) -> tuple[bool, "int | None", 
     return True, None, None
 
 
+def row_masks(spec, rows) -> np.ndarray:
+    """The λ column per node of each given row, shape (len(rows), n), in
+    int64, by the per-row rule: fixed_subset nodes 1..h take their own A-digit;
+    an any_subset node sums, over the h-subsets F containing it, the block-g(F)
+    digit at its position within F, mod s; a concatenation sums its
+    components' masks of the component rows, mod s_max."""
+    rows = np.asarray(rows, dtype=np.int64)
+    p = spec.params
+    if spec.family == "concatenated":
+        acc = np.zeros((len(rows), p.n), dtype=np.int64)
+        scale = 1
+        for c in spec.components:
+            acc += row_masks(c, (rows // scale) % c.params.l)
+            scale *= c.params.l
+        return acc % max(c.params.s for c in spec.components)
+    # A: the h-digit vectors with at most one digit s-1, in lexicographic order
+    a = [v for v in itertools.product(range(p.s), repeat=p.h) if v.count(p.s - 1) <= 1]
+    a = np.array(a, dtype=np.int64)
+    if spec.family == "fixed_subset":
+        out = np.zeros((len(rows), p.n), dtype=np.int64)
+        out[:, : p.h] = a[rows]
+        return out
+    ca = len(a)
+    acc = np.zeros((len(rows), p.n), dtype=np.int64)
+    for subset in itertools.combinations(range(1, p.n + 1), p.h):
+        rank = sum(comb(v - 1, j + 1) for j, v in enumerate(subset)) + 1  # colexicographic
+        apos = (rows // ca ** (rank - 1)) % ca
+        for z, node in enumerate(subset, start=1):
+            acc[:, node - 1] += a[apos, z - 1]
+    return acc % p.s
+
+
 # ---- published mask-rule variants, implemented from their own digit
 # ---- conventions (integer row index in a per-variant base), not from the
 # ---- block machinery under test.

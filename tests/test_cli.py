@@ -174,6 +174,28 @@ def test_decode_without_systematic_shards(tmp_path, capsys):
     assert dest.read_bytes() == src.read_bytes()
 
 
+def test_decode_rejects_shards_from_two_generations(tmp_path, capsys):
+    """b's shards 1-2 over a's, as an encode into a used directory leaves them
+    if it dies after two shards; with shard 1 gone, decode reads shards 2 and
+    3, and shards 4 and 5 disagree with what it computes."""
+    dirs = []
+    for name, seed in (("a", 21), ("b", 22)):
+        src = tmp_path / f"{name}.bin"
+        src.write_bytes(np.random.default_rng(seed).integers(0, 256, 3000, dtype=np.uint8).tobytes())
+        dirs.append(tmp_path / name)
+        argv = ["encode", str(src), str(dirs[-1]), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+        assert main(argv) == EXIT_OK
+    for node in (1, 2):
+        name = f"shard_00{node}.cmds"
+        (dirs[0] / name).write_bytes((dirs[1] / name).read_bytes())
+    (dirs[0] / "shard_001.cmds").unlink()
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(dirs[0]), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_004.cmds" in capsys.readouterr().err
+
+
 def test_decode_with_too_few_shards(tmp_path):
     _, outdir, _ = encode_default(tmp_path)
     for node in (1, 2, 3, 4):

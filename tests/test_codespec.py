@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -32,7 +34,7 @@ from lib_helpers import (
     row_of,
     subset_unrank,
 )
-from oracles import indicator_mask, pair_digit_mask, pair_rank, parity_count_mask
+from oracles import indicator_mask, pair_digit_mask, pair_rank, parity_count_mask, row_masks
 
 GF7 = FieldSpec("prime", 7)
 GF13 = FieldSpec("prime", 13)
@@ -131,15 +133,28 @@ def test_subset_rank_rejects_malformed():
 # ---- masks ------------------------------------------------------------------
 
 
-def _pair_block_row(spec: CodeSpec, paper_row: int) -> int:
-    """Map a two-failure row index in per-digit base (s^2-1) onto the block
-    row convention: digit x becomes the A-block (x mod s, x div s)."""
+def _pair_block_rows(spec: CodeSpec, paper_rows: np.ndarray) -> np.ndarray:
+    """Map two-failure row indices in per-digit base (s^2-1) onto the block
+    row convention: digit x becomes the A-block (x mod s, x div s), whose
+    apos key x mod s + s·(x div s) is x itself."""
     s, m, ca = spec.params.s, spec.params.m, card_A(spec.params.h, spec.params.s)
-    row, rest = 0, paper_row
+    rows, rest = np.zeros_like(paper_rows), paper_rows
     for j in range(m):
-        rest, x = divmod(rest, s * s - 1)
-        row += spec.apos_of((x % s, x // s)) * ca**j
-    return row
+        rest, x = np.divmod(rest, s * s - 1)
+        rows += spec.apos[x] * ca**j
+    return rows
+
+
+def _virtual_pair_digit_spec() -> CodeSpec:
+    # h=2 with s=3 exists at n=4 only as a parameter-level mask (no valid k),
+    # which is all a mask comparison needs
+    params = CodeParams(n=4, k=1, r=3, h=2, d=3, s=3, l=card_A(2, 3) ** 6, m=6)
+    return CodeSpec("any_subset", params, GF13, np.arange(12, dtype=np.int64).reshape(4, 3))
+
+
+def _virtual_indicator_spec() -> CodeSpec:
+    params = CodeParams(n=4, k=1, r=3, h=3, d=2, s=2, l=card_A(3, 2) ** 4, m=4)
+    return CodeSpec("any_subset", params, GF13, np.arange(8, dtype=np.int64).reshape(4, 2))
 
 
 def test_mask_zero_row_is_zero():
@@ -153,29 +168,21 @@ def test_mask_matches_parity_count_rule_exhaustive_n4():
     # h=2, s=2: every row, every node
     spec = make_code("any_subset", 4, 1, 2, 2, make_field("binary", 3))
     paper_rows = np.arange(spec.params.l)
-    mapped = np.array([_pair_block_row(spec, int(a)) for a in paper_rows])
-    got = spec.mask_columns(mapped)
+    got = spec.mask_columns(_pair_block_rows(spec, paper_rows))
     for i in range(1, 5):
         assert np.array_equal(got[:, i - 1], parity_count_mask(4, i, paper_rows))
 
 
 def test_mask_matches_pair_digit_rule_virtual_n4_s3():
-    # h=2 with s=3 exists at n=4 only as a parameter-level mask (no valid k),
-    # which is all the comparison needs
-    params = CodeParams(n=4, k=1, r=3, h=2, d=3, s=3, l=card_A(2, 3) ** 6, m=6)
-    lam = np.arange(12, dtype=np.int64).reshape(4, 3)
-    spec = CodeSpec("any_subset", params, GF13, lam)
+    spec = _virtual_pair_digit_spec()
     paper_rows = np.arange(spec.params.l)
-    mapped = np.array([_pair_block_row(spec, int(a)) for a in paper_rows])
-    got = spec.mask_columns(mapped)
+    got = spec.mask_columns(_pair_block_rows(spec, paper_rows))
     for i in range(1, 5):
         assert np.array_equal(got[:, i - 1], pair_digit_mask(4, 3, i, paper_rows))
 
 
 def test_mask_matches_indicator_rule_n4_h3():
-    params = CodeParams(n=4, k=1, r=3, h=3, d=2, s=2, l=card_A(3, 2) ** 4, m=4)
-    lam = np.arange(8, dtype=np.int64).reshape(4, 2)
-    spec = CodeSpec("any_subset", params, GF13, lam)
+    spec = _virtual_indicator_spec()
     h, ca = 3, card_A(3, 2)
     # digit u of the published rule is the block with a single one at
     # position u (u=0: the zero block)
@@ -188,6 +195,63 @@ def test_mask_matches_indicator_rule_n4_h3():
     got = spec.mask_columns(mapped)
     for i in range(1, 5):
         assert np.array_equal(got[:, i - 1], indicator_mask(4, 3, i, paper_rows))
+
+
+# every family, the virtual specs and concatenations, by name
+STRUCTURE_SPECS = {
+    "fixed_5_2_2_3_gf256": lambda: make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("binary", 8)),
+    "fixed_5_2_2_3_gf65536": lambda: make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("binary", 16)),
+    "any_4_1_2_2_gf13": lambda: make_code("any_subset", 4, 1, 2, 2, GF13),
+    "any_5_2_2_3_gf13": lambda: make_code("any_subset", 5, 2, 2, 3, GF13),
+    "virtual_n4_h2_s3": _virtual_pair_digit_spec,
+    "virtual_n4_h3_s2": _virtual_indicator_spec,
+    "concat_22_12": lambda: concat([make_code("any_subset", 4, 1, h, d, GF13) for h, d in ((2, 2), (1, 2))]),
+    "universal_3_1": lambda: universal_code(3, 1),
+    "universal_4_1": lambda: universal_code(4, 1),
+    "universal_4_2": lambda: universal_code(4, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURE_SPECS))
+def test_structural_masks_match_the_per_row_rule_on_every_row(name):
+    spec = STRUCTURE_SPECS[name]()
+    rows = np.arange(spec.params.l)
+    want = row_masks(spec, rows)
+    assert np.array_equal(spec.mask_columns(rows), want)
+    n = spec.params.n
+    assert np.array_equal(spec.coeff_matrix(), spec.lam[np.arange(n), want])
+
+
+# SHA-256 of coeff_matrix().astype("<u2").tobytes(), recorded from the per-row
+# construction that came before the structural one
+GOLDEN_COEFF_SHA256 = {
+    "universal_4_1": "a3f7a748cd88af10efe1b92c41bafbcd30c652b1388f52e3d883f1e9ca604b03",
+    "any_5_2_2_3_gf13": "c54d7ae738a5a643d5f2be8bbb513264b9105de4aec5c000cf009dfef09fea61",
+    "fixed_5_2_2_3_gf256": "71e2ea8b8503fd8d2bafa1bd6f5c87ad17639ab76f97f0a7d9b143de892220da",
+    "fixed_5_2_2_3_gf65536": "71e2ea8b8503fd8d2bafa1bd6f5c87ad17639ab76f97f0a7d9b143de892220da",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COEFF_SHA256))
+def test_coeff_matrix_matches_its_golden_hash(name):
+    spec = STRUCTURE_SPECS[name]()
+    coeff = spec.coeff_matrix()
+    assert coeff.dtype == spec.field.symbol_dtype
+    assert not coeff.flags.writeable
+    assert hashlib.sha256(coeff.astype("<u2").tobytes()).hexdigest() == GOLDEN_COEFF_SHA256[name]
+
+
+def test_universal_coeff_matrix_makes_no_l_sized_int64_array():
+    spec = universal_code(4, 1)
+    tracemalloc.start()
+    try:
+        coeff = spec.coeff_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result itself plus one int64 row index would already reach this
+    assert peak < coeff.nbytes + 8 * spec.params.l
+    assert peak <= 16 << 20
 
 
 def test_mask_f_validates_inputs():

@@ -205,6 +205,31 @@ def test_row_grouping_keeps_the_inverse_index_narrow():
         assert np.array_equal(groups.rows[groups.inverse], points)
 
 
+@pytest.mark.parametrize(
+    "kind, modulus, npts, nsys",
+    [
+        ("prime", 5, 3, 500),  # 125 keys <= 500 systems: presence table
+        ("prime", 13, 4, 30_000),  # 28,561 keys, the universal codes' shape
+        ("prime", 13, 4, 2_000),  # more keys than systems: sort
+        ("binary", 8, 3, 4_000),  # uint32 keys, sort
+        ("binary", 16, 5, 300),  # keys beyond int64: row-wise sort
+    ],
+)
+@pytest.mark.parametrize("wide", [False, True])
+def test_row_grouping_matches_a_lexicographic_unique(kind, modulus, npts, nsys, wide):
+    f = make_field(kind, modulus)
+    rng = np.random.default_rng(modulus + npts)
+    # few enough distinct rows that some repeat, and some keys never occur
+    pool = rng.integers(0, f.order, size=(max(2, nsys // 7), npts))
+    points = pool[rng.integers(0, len(pool), size=nsys)]
+    points = points if wide else f.as_symbols(points)
+    want_rows, want_inverse = np.unique(points, axis=0, return_inverse=True)
+    groups = _RowGroups(f, points)
+    assert np.array_equal(groups.rows, want_rows)
+    assert np.array_equal(groups.inverse, want_inverse.ravel())
+    assert groups.inverse.dtype == np.min_scalar_type(len(want_rows) - 1)
+
+
 def test_grs_keeps_no_cache_of_its_own(monkeypatch):
     import coopmds.grs as grs
 

@@ -249,8 +249,9 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
     """Map, parse and check each shard once: every file in shard_dir, or the
     given nodes' files, one result each in file order.  Rejected: a file name
     unlike the header node, a node outside 1..n, a bad CRC or payload size, a
-    symbol outside the field (ShardFormatError), or a spec, stripe count or
-    length unlike the first good shard's (InadmissibleError).
+    symbol outside the field, a stripe count unfit for the length
+    (ShardFormatError), or a spec, stripe count or length unlike the first
+    good shard's (InadmissibleError).
 
     Each file is mapped read-only and its symbols are a view of the mapping,
     so a read allocates no copy of the file.  A shard truncated in place while
@@ -285,6 +286,8 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
                 raise ShardFormatError(
                     f"payload holds {symbols.size} symbols, header promises {header.stripes * l}"
                 )
+            if header.stripes != -(-header.orig_len // (header.spec.params.k * l * symbols.itemsize)):
+                raise ShardFormatError(f"{header.stripes} stripes do not hold {header.orig_len} bytes")
             try:
                 symbols = field.as_symbols(symbols)
             except ValueError as exc:

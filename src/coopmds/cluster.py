@@ -224,7 +224,8 @@ def run_scenario(config: ClusterConfig, *, workers: int = 1) -> SimulationReport
             if failed:
                 entry = {"event": "verify", "ok": False, "missing": sorted(failed)}
             else:
-                cells = np.stack([nodes[i].column for i in range(1, p.n + 1)], axis=1)
+                # node-major, so verify compares contiguous parity columns
+                cells = np.stack([nodes[i].column for i in range(1, p.n + 1)]).T
                 res = verify_parity(CodewordArray(spec, cells))
                 entry = {"event": "verify", "ok": res.ok}
                 if not res.ok:

@@ -26,7 +26,8 @@ cell's points are passed once: the round-1 completion map is built once per
 distinct point row and then applied to every cell and stripe that shares it,
 which is how whole-file repair stays fast.  The spec keeps one geometry per
 failed and helper set, and the grouping of each failed node's cell points,
-so a repeat repair of the same pattern rebuilds neither.
+so a repeat repair of the same pattern rebuilds neither.  Message tags are
+derived from the cell formula when read, not stored.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class RepairContext:
         return len(self.helpers)
 
 
-@dataclass
 class RepairMessage:
     """One protocol message.
 
@@ -109,19 +109,22 @@ class RepairMessage:
     self-describing.  Round 1 varies the receiver's digit, round 2 the
     sender's.  A trailing payload axis, when present, spans stripes that
     share tags.  The protocol's payloads are in the field's symbol dtype.
+
+    The protocol's own messages store cells = (geometry, varied node) in place
+    of tags, and tags is then derived from the cell formula on each read.
     """
 
-    round: int
-    sender: int
-    receiver: int
-    payload: np.ndarray
-    tags: np.ndarray
-
-    def __post_init__(self):
-        self.payload = np.asarray(self.payload)
-        self.tags = np.asarray(self.tags, dtype=np.int64)
-        if self.tags.shape != (self.payload.shape[0], 2):
+    def __init__(self, round: int, sender: int, receiver: int, payload, tags=None, *, cells=None):
+        self.round, self.sender, self.receiver = round, sender, receiver
+        self.payload, self.cells = np.asarray(payload), cells
+        self._tags = None if cells is not None else np.asarray(tags, dtype=np.int64)
+        shape = self._tags.shape if cells is None else (cells[0].quota, 2)
+        if shape != (self.payload.shape[0], 2):
             raise ValueError("need one (base row, varied node) tag per payload entry")
+
+    @property
+    def tags(self) -> np.ndarray:
+        return self._tags if self.cells is None else self.cells[0].node_tags(self.cells[1])
 
     def __len__(self) -> int:
         return self.payload.shape[0]
@@ -241,9 +244,9 @@ class _Geometry:
     """The cells of one (spec, ctx), built once per pattern by _geometry.
     Node i's cell (block b, class c, offset L) holds rows b·span +
     node_table[i][c, u]·stride + L, so each gather and scatter indexes axis 1
-    of blocks(col); tags[i] is the one read-only (base row, i) array that
-    every message about node i's cells shares.  The spec keeps the geometry,
-    so the geometry does not keep the spec: callers pass it alongside."""
+    of blocks(col), and node i's message tags follow from the same formula
+    (node_tags) rather than being stored.  The spec keeps the geometry, so
+    the geometry does not keep the spec: callers pass it alongside."""
 
     def __init__(self, spec: CodeSpec, ctx: RepairContext):
         comp, scale = _validate_context(spec, ctx)
@@ -258,7 +261,6 @@ class _Geometry:
             sorted(set(range(1, spec.params.n + 1)) - set(ctx.failed) - set(ctx.helpers))
         )
         self.node_table: dict[int, np.ndarray] = {}
-        self.tags: dict[int, np.ndarray] = {}
         for z, i in enumerate(ctx.failed):
             # table[c, u] = A-position of the block with digit u at node i's
             # F-position and the class-c digits (all below s-1) elsewhere
@@ -266,15 +268,17 @@ class _Geometry:
             for c, b in enumerate(itertools.product(range(self.s - 1), repeat=h - 1)):
                 for u in range(self.s):
                     table[c, u] = comp.apos_of(b[:z] + (u,) + b[z:])
-            base = (
-                np.arange(self.nblk, dtype=np.int64)[:, None, None] * (self.ca * self.stride)
-                + table[None, :, :1] * self.stride
-                + np.arange(self.stride, dtype=np.int64)
-            )
-            tags = np.stack([base.ravel(), np.full(self.quota, i, dtype=np.int64)], axis=1)
             table.setflags(write=False)
-            tags.setflags(write=False)
-            self.node_table[i], self.tags[i] = table, tags
+            self.node_table[i] = table
+
+    def node_tags(self, i: int) -> np.ndarray:
+        """Failed node i's read-only (quota, 2) tags: (base row, i) per cell,
+        the base row being the cell's row with digit 0 at node i."""
+        span = np.arange(self.nblk, dtype=np.int64)[:, None, None] * (self.ca * self.stride)
+        base = span + self.node_table[i][:, :1] * self.stride + np.arange(self.stride)
+        tags = np.stack([base.ravel(), np.full(self.quota, i, dtype=np.int64)], axis=1)
+        tags.setflags(write=False)
+        return tags
 
     def blocks(self, col: np.ndarray) -> np.ndarray:
         """col (l[, stripes]) as (l // span, |A|, stride[, stripes]): axis 1 is
@@ -306,8 +310,9 @@ def _inbox(
                              f"round-{rnd} message for node {receiver}")
         if msg.sender in by_sender:
             raise ValueError(f"duplicate round-{rnd} message from node {msg.sender}")
-        expected = geom.tags[receiver if rnd == 1 else msg.sender]
-        if msg.tags is not expected and not np.array_equal(msg.tags, expected):
+        # this geometry's own messages pass by reference, others by their tags
+        varied = receiver if rnd == 1 else msg.sender
+        if msg.cells != (geom, varied) and not np.array_equal(msg.tags, geom.node_tags(varied)):
             raise ValueError(f"round-{rnd} tags from node {msg.sender} do not name its cells")
         by_sender[msg.sender] = msg
     if len(by_sender) != len(senders):
@@ -329,7 +334,7 @@ def _helper_message(
         raise ValueError(f"column must have {spec.params.l} rows")
     sums = spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
     payload = sums.reshape((geom.quota,) + col.shape[1:])
-    return RepairMessage(1, helper, failed, payload, geom.tags[failed])
+    return RepairMessage(1, helper, failed, payload, cells=(geom, failed))
 
 
 def round1_helper_payload(
@@ -395,7 +400,7 @@ def _solve_node(
     cross = [ip for ip in ctx.failed if ip != i]
     sums = vals[:, s:, 0] if flat else vals[:, s:]
     outgoing = tuple(
-        RepairMessage(2, i, ip, sums[:, idx], geom.tags[i]) for idx, ip in enumerate(cross)
+        RepairMessage(2, i, ip, sums[:, idx], cells=(geom, i)) for idx, ip in enumerate(cross)
     )
     return Round1State(i, column[:, 0] if flat else column, filled, outgoing)
 

@@ -242,6 +242,31 @@ def test_decode_rejects_node_outside_the_code(tmp_path):
     assert main(["decode", str(outdir), str(tmp_path / "x.bin")]) == EXIT_VERIFY
 
 
+def test_decode_rejects_an_orig_len_the_stripes_cannot_hold(tmp_path, capsys):
+    """k=1 with only shard 1 left decodes with no arithmetic, so nothing but
+    the header ties orig_len to the payload: a flip of bit 40 used to exit 0
+    and write the 3,003 padded bytes while reporting 2^40 + 3,001."""
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(8).integers(0, 256, 3001, dtype=np.uint8).tobytes())
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "4", "--k", "1", "--h", "2", "--d", "2"]
+    assert main(argv) == EXIT_OK
+    for node in (2, 3, 4):
+        (outdir / f"shard_00{node}.cmds").unlink()
+    path = outdir / "shard_001.cmds"
+    header, off = ShardHeader.parse(path.read_bytes())
+    assert header.orig_len == 3001
+    flip = header.orig_len ^ (1 << 40)
+    flipped = ShardHeader(header.spec, 1, header.stripes, flip, header.checksum)
+    path.write_bytes(flipped.to_bytes() + path.read_bytes()[off:])
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_001.cmds" in capsys.readouterr().err
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+
+
 @pytest.mark.parametrize("damage", ["bad-crc", "short-payload", "symbol-outside-gf13"])
 def test_decode_rejects_a_broken_surplus_shard(tmp_path, capsys, damage):
     """Decode reads shards 1 and 2 only, but a broken shard 5 still stops it."""

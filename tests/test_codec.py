@@ -278,6 +278,33 @@ def test_parity_witness_over_stripes_matches_oracle(spec_builder):
         assert parity_witness(spec, bad) == (t, row)
 
 
+@pytest.mark.parametrize("spec_builder", WITNESS_SPECS)
+def test_verify_names_one_witness_in_either_cell_layout(spec_builder):
+    """Row-major and column-major cells give the same witness for one
+    corrupted symbol in a data or a parity column, one stripe or several."""
+    spec = spec_builder()
+    p = spec.params
+    cw = random_codeword(spec, seed=25)
+    striped = np.stack([random_codeword(spec, seed=26 + s).cells for s in range(3)], axis=2)
+    rng = np.random.default_rng(27)
+    for col in (0, p.n - 1):
+        row = int(rng.integers(p.l))
+        one = _corrupt(spec, cw.cells, [(row, col, 1)])
+        expect = powered_sweep_witness(spec, one)
+        assert expect[0] is False
+        results = set()
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            cells = layout(one)
+            res = verify_parity(CodewordArray(spec, cells))
+            results.add((res.ok, res.t, res.row))
+            results.add((False,) + parity_witness(spec, cells))
+        assert results == {expect}
+        many = _corrupt(spec, striped, [(row, col, 1)], stripe=1)
+        want = powered_sweep_witness(spec, many)[1:]
+        assert parity_witness(spec, np.ascontiguousarray(many)) == want
+        assert parity_witness(spec, np.asfortranarray(many)) == want
+
+
 def test_verify_cancelled_t0_edit_matches_oracle():
     spec = make_code("fixed_subset", 5, 2, 2, 3, GF7)
     cells = random_codeword(spec, seed=9).cells.copy()
@@ -320,6 +347,26 @@ def test_codeword_array_is_frozen_and_detached():
     assert cw.cells[0, 0] == 0
     with pytest.raises(ValueError):
         cw.cells[0, 0] = 1
+
+
+@pytest.mark.parametrize("field", [GF13, FieldSpec("binary", 8)])
+def test_encode_and_decode_results_are_frozen_and_detached(field):
+    """encode_systematic and decode_from_columns wrap the arrays they build
+    without a copy; the result still shares no memory with its inputs."""
+    spec = make_code("any_subset", 4, 1, 2, 2, field)
+    data = np.random.default_rng(31).integers(0, field.order, (spec.params.l, 1))
+    data = data.astype(spec.field.symbol_dtype)  # as_symbols passes it through uncopied
+    cw = encode_systematic(spec, data)
+    columns = {i: np.array(cw.column(i)) for i in (2, 3)}
+    decoded = decode_from_columns(spec, columns)
+    assert decoded == cw
+    for out, inputs in ((cw, [data]), (decoded, list(columns.values()))):
+        assert out.cells.dtype == spec.field.symbol_dtype
+        assert out.cells.shape == (spec.params.l, spec.params.n)
+        assert not out.cells.flags.writeable
+        assert not any(np.shares_memory(out.cells, x) for x in inputs)
+        with pytest.raises(ValueError):
+            out.cells[0, 0] = 0
 
 
 def test_column_accessor():

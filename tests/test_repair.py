@@ -477,7 +477,7 @@ def test_concurrent_repairs_share_one_round1_grouping():
     assert len(seen) == 8 and all(g is seen[0] for g in seen)
 
 
-def test_geometry_builds_node_tables_and_tags_once():
+def test_geometry_builds_node_tables_once_and_derives_tags():
     from coopmds.repair import _geometry
 
     spec = make_code("any_subset", 4, 1, 2, 2, GF13)
@@ -486,10 +486,51 @@ def test_geometry_builds_node_tables_and_tags_once():
     assert _geometry(spec, RepairContext((3, 1), (4, 2))) is geom
     assert _geometry(spec, RepairContext((1, 2), (3, 4))) is not geom
     for i in ctx.failed:
-        assert not geom.node_table[i].flags.writeable and not geom.tags[i].flags.writeable
-        assert np.array_equal(geom.tags[i][:, 0], cell_rows(geom, i)[:, 0])
-        assert (geom.tags[i][:, 1] == i).all()
+        assert not geom.node_table[i].flags.writeable
+        tags = geom.node_tags(i)
+        assert tags.dtype == np.int64 and tags.shape == (geom.quota, 2)
+        assert not tags.flags.writeable
+        assert np.array_equal(tags[:, 0], cell_rows(geom, i)[:, 0])
+        assert (tags[:, 1] == i).all()
+        # derived on each read, not kept
+        assert geom.node_tags(i) is not tags and np.array_equal(geom.node_tags(i), tags)
     assert not np.array_equal(geom.node_table[1], geom.node_table[3])
+
+
+def _arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays_in(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays_in(v)
+
+
+@pytest.mark.parametrize(
+    "spec, failed, helpers",
+    [
+        (make_code("any_subset", 4, 1, 2, 2, GF13), (1, 3), (2, 4)),
+        (make_code("any_subset", 5, 2, 2, 3, GF11), (2, 5), (1, 3, 4)),
+        (
+            concat([make_code("any_subset", 4, 1, 1, 2, GF13), make_code("any_subset", 4, 1, 2, 2, GF13)]),
+            (2, 4),
+            (1, 3),
+        ),
+    ],
+)
+def test_geometry_keeps_no_array_as_long_as_its_cells(spec, failed, helpers):
+    """A geometry holds node tables and scalars only: nothing it keeps grows
+    with the number of cells, as per-cell tags did."""
+    from coopmds.repair import _geometry
+
+    ctx = RepairContext(failed, helpers)
+    repair_columns(spec, ctx, {j: np.zeros(spec.params.l, dtype=np.uint8) for j in helpers})
+    geom = _geometry(spec, ctx)
+    assert geom.quota > 1
+    arrays = [a for v in vars(geom).values() for a in _arrays_in(v)]
+    assert arrays and all(a.shape[0] < geom.quota for a in arrays)
 
 
 def test_threads_repairing_one_pattern_share_one_geometry():
@@ -627,7 +668,7 @@ def test_round2_rejects_mislabelled_cross_sums():
             round2_exchange_and_finish(spec, ctx, 1, states[1], [bad])
 
 
-def test_every_message_about_a_node_shares_its_tag_array():
+def test_every_message_about_a_node_carries_its_derived_tags():
     from coopmds.repair import _geometry, _run_rounds
 
     spec = make_code("any_subset", 5, 2, 2, 3, GF11)
@@ -641,12 +682,52 @@ def test_every_message_about_a_node_shares_its_tag_array():
     assert {m.round for m in messages} == {1, 2}
     for msg in messages:
         varied = msg.receiver if msg.round == 1 else msg.sender
-        assert msg.tags is geom.tags[varied]
-    for i in ctx.failed:
-        tags = geom.tags[i]
-        assert not tags.flags.writeable
-        assert np.array_equal(tags[:, 0], cell_rows(geom, i)[:, 0])
-        assert (tags[:, 1] == i).all()
+        assert msg.cells == (geom, varied)
+        tags = msg.tags
+        assert tags.dtype == np.int64 and not tags.flags.writeable
+        assert np.array_equal(tags[:, 0], cell_rows(geom, varied)[:, 0])
+        assert (tags[:, 1] == varied).all()
+
+
+# SHA-256 of tags.tobytes() per (round, sender, receiver), recorded when each
+# geometry still kept its tags as arrays: the cluster_universal cycle's three
+# patterns on universal_code(4, 1)
+_GOLDEN_UNIVERSAL_TAGS = {
+    ((1, 3), (2, 4), "cooperative"): {
+        (1, 2, 1): "4fffe2d0f1e92e9966fd83183ba935bbc8603d6e050819923d5d3baf81b8e59e",
+        (1, 2, 3): "b99ce951d5b01386e55a3a57612a7bb694e487e4ad99f83315e5f5552405617e",
+        (1, 4, 1): "4fffe2d0f1e92e9966fd83183ba935bbc8603d6e050819923d5d3baf81b8e59e",
+        (1, 4, 3): "b99ce951d5b01386e55a3a57612a7bb694e487e4ad99f83315e5f5552405617e",
+        (2, 1, 3): "4fffe2d0f1e92e9966fd83183ba935bbc8603d6e050819923d5d3baf81b8e59e",
+        (2, 3, 1): "b99ce951d5b01386e55a3a57612a7bb694e487e4ad99f83315e5f5552405617e",
+    },
+    ((2,), (1, 3, 4), "cooperative"): {
+        (1, 1, 2): "af44e43f67ba91ca40291898462ddac31ee3156ff72fb99ec7a7d46f39c1b976",
+        (1, 3, 2): "af44e43f67ba91ca40291898462ddac31ee3156ff72fb99ec7a7d46f39c1b976",
+        (1, 4, 2): "af44e43f67ba91ca40291898462ddac31ee3156ff72fb99ec7a7d46f39c1b976",
+    },
+    ((4,), (1, 2), "centralized"): {
+        (1, 1, 4): "6892fa6916a1ce807b7a1f0e40bfefad6da588e39e5822bcaed1c38613f8c5c4",
+        (1, 2, 4): "6892fa6916a1ce807b7a1f0e40bfefad6da588e39e5822bcaed1c38613f8c5c4",
+    },
+}
+
+
+def test_universal_code_message_tags_are_golden():
+    import hashlib
+
+    from coopmds.codespec import universal_code
+
+    spec = universal_code(4, 1)
+    zero = np.zeros(spec.params.l, dtype=spec.field.symbol_dtype)
+    for (failed, helpers, mode), want in _GOLDEN_UNIVERSAL_TAGS.items():
+        ctx = RepairContext(failed, helpers)
+        _, transcript = repair_columns(spec, ctx, {j: zero for j in helpers}, mode=mode)
+        got = {
+            (m.round, m.sender, m.receiver): hashlib.sha256(m.tags.tobytes()).hexdigest()
+            for m in transcript.messages
+        }
+        assert got == want
 
 
 def test_inbox_accepts_an_equal_copy_of_the_tags():
@@ -662,6 +743,25 @@ def test_inbox_accepts_an_equal_copy_of_the_tags():
     (msg,) = _round1_states(spec, ctx, cw)[3].outgoing
     msg = RepairMessage(2, 3, 1, msg.payload, msg.tags.copy())
     assert np.array_equal(round2_exchange_and_finish(spec, ctx, 1, state, [msg]), cw.column(1))
+
+
+def test_inbox_checks_cell_references_against_the_formula():
+    """A protocol message names its cells by (geometry, varied node).  One
+    readdressed to another failed node keeps that reference and is refused;
+    one built on an equal spec's own geometry is checked by its tags."""
+    spec = make_code("any_subset", 4, 1, 2, 2, GF13)
+    ctx = RepairContext((1, 3), (2, 4))
+    cw = random_codeword(spec, seed=97)
+    for_3 = round1_messages(spec, ctx, cw, 3)
+    readdressed = [RepairMessage(1, m.sender, 1, m.payload, cells=m.cells) for m in for_3]
+    with pytest.raises(ValueError, match="tags"):
+        round1_solve(spec, ctx, 1, readdressed)
+    twin = make_code("any_subset", 4, 1, 2, 2, GF13)
+    assert twin == spec and twin is not spec
+    foreign = round1_messages(twin, ctx, cw, 1)
+    assert foreign[0].cells[0] is not round1_messages(spec, ctx, cw, 1)[0].cells[0]
+    state = round1_solve(spec, ctx, 1, foreign)
+    assert np.array_equal(state.column, round1_solve(twin, ctx, 1, foreign).column)
 
 
 def test_a_width_one_stripe_axis_is_kept_through_both_rounds():

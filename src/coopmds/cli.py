@@ -455,20 +455,16 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
                     except InadmissibleError:
                         continue
                     rows = inject_and_sweep(spec)
-                    p = spec.params
-                    measured = {
-                        mode: {r["measured"] for r in rows if r["mode"] == mode}
+                    # (measured, bound) per mode, the same for every (F, R)
+                    traffic = [
+                        {(r["measured"], r["bound"]) for r in rows if r["mode"] == mode}
                         for mode in ("cooperative", "centralized")
-                    }
-                    if any(len(v) != 1 for v in measured.values()):
+                    ]
+                    if any(len(v) != 1 for v in traffic):
                         raise RuntimeError(f"non-uniform traffic for n={n} k={k} h={h} d={d}")
-                    bounds = cutset_cooperative(h, d, k, p.l), cutset_centralized(h, d, k, p.l)
-                    writer.writerow(
-                        [n, k, h, d, p.l]
-                        + [measured["cooperative"].pop(), _fraction_json(bounds[0])]
-                        + [measured["centralized"].pop(), _fraction_json(bounds[1])]
-                        + [str(all(r["optimal"] for r in rows)).lower()]
-                    )
+                    (coop,), (central,) = traffic
+                    optimal = str(all(r["optimal"] for r in rows)).lower()
+                    writer.writerow([n, k, h, d, spec.params.l, *coop, *central, optimal])
     text = buf.getvalue()
     if out is not None:
         _write_atomic(out, text.encode())

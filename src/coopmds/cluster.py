@@ -1,13 +1,14 @@
 """Deterministic in-process cluster simulation.
 
-Nodes are isolated state objects holding exactly one column and an inbox; a
-coordinator executes a scenario (fail, repair, verify events), running each
-repair through the repair module's own two-round run.  The bus meters every
-message that run returns independently of its ledger, so each repair event
-yields two traffic counts that must agree.  There is no wall clock: the meter
-log uses logical timestamps, messages inside a round are ordered by
-(round, sender, receiver), and codeword content comes from the config seed,
-which makes reports byte-for-byte reproducible.
+Each node is one column, None while the node is failed; a coordinator
+executes a scenario (fail, repair, verify events).  A repair event makes the
+same run as repair_columns and reads its ledger total, bounds and optimality
+from the transcript that run returns.  The bus meters every message of that
+transcript independently of its ledger, so each repair event yields two
+traffic counts that must agree.  There is no wall clock: the meter log uses
+logical timestamps, messages inside a round are ordered by (round, sender,
+receiver), and codeword content comes from the config seed, which makes
+reports byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -23,39 +24,35 @@ import numpy as np
 
 from coopmds.codec import CodewordArray, encode_systematic, verify_parity
 from coopmds.codespec import CodeSpec, InadmissibleError
-from coopmds.repair import (
-    BandwidthLedger,
-    RepairContext,
-    _bounds,
-    _fraction_json,
-    _geometry,
-    _run_rounds,
-    centralized_repair_from_round1,
-    cooperative_repair,
-)
+from coopmds.repair import RepairContext, _run_rounds, repair_columns
 
 _MODES = ("cooperative", "centralized")
 
 
+def _node_list(event: dict, key: str, n: int) -> list[int]:
+    """event[key] as a sorted list of distinct nodes of 1..n."""
+    nodes = event.get(key)
+    if not isinstance(nodes, (list, tuple)) or not nodes:
+        raise ValueError(f"{event['type']} event needs a nonempty list of {key}")
+    # JSON true is no node: bool is a subclass of int
+    if any(type(i) is not int or not 1 <= i <= n for i in nodes):
+        raise ValueError(f"{event['type']} event {key} must be integers in [1, {n}]")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"{event['type']} event names a node twice")
+    return sorted(nodes)
+
+
 def _normalize_event(event: dict, n: int) -> dict:
+    if not isinstance(event, dict):
+        raise ValueError(f"an event is an object, not {event!r}")
     kind = event.get("type")
     if kind == "fail":
-        nodes = list(event.get("nodes", ()))
-        if not nodes or len(set(nodes)) != len(nodes):
-            raise ValueError("fail event needs a nonempty set of distinct nodes")
-        if any(not isinstance(i, int) or not 1 <= i <= n for i in nodes):
-            raise ValueError(f"fail event references nodes outside [1, {n}]")
-        return {"type": "fail", "nodes": sorted(nodes)}
+        return {"type": "fail", "nodes": _node_list(event, "nodes", n)}
     if kind == "repair":
-        helpers = list(event.get("helpers", ()))
-        if not helpers or len(set(helpers)) != len(helpers):
-            raise ValueError("repair event needs a nonempty set of distinct helpers")
-        if any(not isinstance(i, int) or not 1 <= i <= n for i in helpers):
-            raise ValueError(f"repair event references nodes outside [1, {n}]")
         mode = event.get("mode", "cooperative")
         if mode not in _MODES:
             raise ValueError(f"unknown repair mode {mode!r}")
-        return {"type": "repair", "helpers": sorted(helpers), "mode": mode}
+        return {"type": "repair", "helpers": _node_list(event, "helpers", n), "mode": mode}
     if kind == "verify":
         return {"type": "verify"}
     raise ValueError(f"unknown event type {kind!r}")
@@ -80,7 +77,11 @@ class ClusterConfig:
     @classmethod
     def from_json(cls, text: str) -> "ClusterConfig":
         doc = json.loads(text)
-        return cls(CodeSpec.from_descriptor(doc["spec"]), int(doc["seed"]), tuple(doc["events"]))
+        if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
+            raise ValueError("a scenario config is an object with an events list")
+        if type(doc.get("seed")) is not int:
+            raise ValueError(f"the seed must be an integer, not {doc.get('seed')!r}")
+        return cls(CodeSpec.from_descriptor(doc["spec"]), doc["seed"], tuple(doc["events"]))
 
 
 class TrafficMeter:
@@ -111,17 +112,6 @@ class TrafficMeter:
         return {"links": links, "total": self.total, "log": self.log}
 
 
-class NodeState:
-    """One live node's private view: its id, its column, its inbox."""
-
-    __slots__ = ("node", "column", "inbox")
-
-    def __init__(self, node: int, column: "np.ndarray | None"):
-        self.node = node
-        self.column = column
-        self.inbox: list = []
-
-
 @dataclass
 class SimulationReport:
     """Everything run_scenario produced, JSON-serializable."""
@@ -144,25 +134,6 @@ class SimulationReport:
         return all(verdicts)
 
 
-def _run_repair_event(
-    spec: CodeSpec, ctx: RepairContext, mode: str, nodes: dict, meter: TrafficMeter, workers: int
-) -> tuple[dict[int, np.ndarray], BandwidthLedger]:
-    """One repair through repair._run_rounds, round-1 solves on ``workers``
-    threads; the meter records its messages, which are dropped on return."""
-    pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
-    with pool:
-        restored, messages, ledger = _run_rounds(
-            spec,
-            _geometry(spec, ctx),
-            {j: nodes[j].column for j in ctx.helpers},
-            meter_round2=(mode == "cooperative"),
-            pool_map=pool.map if workers > 1 else map,
-        )
-    for msg in messages:
-        meter.record(msg.round, msg.sender, msg.receiver, msg.symbols)
-    return restored, ledger
-
-
 def run_scenario(config: ClusterConfig, *, workers: int = 1) -> SimulationReport:
     """Execute the scenario and return the report.
 
@@ -175,61 +146,60 @@ def run_scenario(config: ClusterConfig, *, workers: int = 1) -> SimulationReport
     p = spec.params
     rng = np.random.default_rng(config.seed)
     truth = encode_systematic(spec, rng.integers(0, spec.field.order, size=(p.l, p.k)))
-    nodes: dict[int, NodeState | None] = {
-        i: NodeState(i, truth.cells[:, i - 1]) for i in range(1, p.n + 1)
-    }
-    failed: set[int] = set()
+    nodes: dict[int, "np.ndarray | None"] = {i: truth.cells[:, i - 1] for i in range(1, p.n + 1)}
     meter = TrafficMeter()
     events_out: list[dict] = []
 
     for ev in config.scenario:
+        failed = [i for i, col in nodes.items() if col is None]
         if ev["type"] == "fail":
             for i in ev["nodes"]:
-                if i in failed:
+                if nodes[i] is None:
                     raise InadmissibleError(f"node {i} is already failed")
-                failed.add(i)
                 nodes[i] = None
             events_out.append({"event": "fail", "nodes": ev["nodes"]})
         elif ev["type"] == "repair":
             if not failed:
                 raise InadmissibleError("repair event with no failed nodes")
-            dead_helpers = set(ev["helpers"]) & failed
+            dead_helpers = set(ev["helpers"]) & set(failed)
             if dead_helpers:
                 raise InadmissibleError(f"helpers {sorted(dead_helpers)} are not live")
-            ctx = RepairContext(tuple(sorted(failed)), tuple(ev["helpers"]))
+            ctx = RepairContext(tuple(failed), tuple(ev["helpers"]))
+            pool = ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()
+            with pool:
+                pool_map = pool.map if workers > 1 else map
+                restored, transcript = _run_rounds(
+                    spec, ctx, {j: nodes[j] for j in ctx.helpers}, ev["mode"], pool_map
+                )
+            nodes.update(restored)
             before = meter.total
-            restored, ledger = _run_repair_event(spec, ctx, ev["mode"], nodes, meter, workers)
-            for i, col in restored.items():
-                nodes[i] = NodeState(i, col)
-            failed.clear()
-            coop, cent = _bounds(spec, ctx)
-            bound = coop if ev["mode"] == "cooperative" else cent
+            for msg in transcript.messages:
+                meter.record(msg.round, msg.sender, msg.receiver, msg.symbols)
+            run = transcript.to_dict()
+            # the messages view the round-1 solves' arrays: drop them now
+            transcript = msg = None
             events_out.append(
                 {
                     "event": "repair",
-                    "failed": list(ctx.failed),
+                    "failed": failed,
                     "helpers": list(ctx.helpers),
                     "mode": ev["mode"],
-                    "ledger_total": ledger.total,
+                    "ledger_total": run["total"],
                     "meter_total": meter.total - before,
-                    "agreement": ledger.total == meter.total - before,
-                    "bounds": {
-                        "cooperative": _fraction_json(coop),
-                        "centralized": _fraction_json(cent),
-                    },
-                    "optimal": ledger.total == bound,
+                    "agreement": run["total"] == meter.total - before,
+                    "bounds": run["bounds"],
+                    "optimal": run["optimal"],
                 }
             )
+        elif failed:
+            events_out.append({"event": "verify", "ok": False, "missing": failed})
         else:
-            if failed:
-                entry = {"event": "verify", "ok": False, "missing": sorted(failed)}
-            else:
-                # node-major, so verify compares contiguous parity columns
-                cells = np.stack([nodes[i].column for i in range(1, p.n + 1)]).T
-                res = verify_parity(CodewordArray(spec, cells))
-                entry = {"event": "verify", "ok": res.ok}
-                if not res.ok:
-                    entry["witness"] = [res.t, res.row]
+            # node-major, so verify compares contiguous parity columns
+            cells = np.stack([nodes[i] for i in range(1, p.n + 1)]).T
+            res = verify_parity(CodewordArray(spec, cells))
+            entry = {"event": "verify", "ok": res.ok}
+            if not res.ok:
+                entry["witness"] = [res.t, res.row]
             events_out.append(entry)
 
     return SimulationReport(spec.descriptor(), config.seed, events_out, meter)
@@ -261,17 +231,12 @@ def inject_and_sweep(
             rest = sorted(set(range(1, p.n + 1)) - set(failed))
             for helpers in itertools.combinations(rest, d):
                 ctx = RepairContext(failed, helpers)
-                damaged_cells = truth.cells.copy()
-                for i in failed:
-                    damaged_cells[:, i - 1] = 0
-                damaged = CodewordArray(spec, damaged_cells)
+                columns = {j: truth.column(j) for j in helpers}
                 for mode in modes:
-                    runner = (
-                        cooperative_repair if mode == "cooperative" else centralized_repair_from_round1
-                    )
-                    restored, transcript = runner(spec, damaged, ctx)
-                    if restored != truth:
+                    restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
+                    if not all(np.array_equal(restored[i], truth.column(i)) for i in failed):
                         raise RuntimeError(f"repair failed for F={failed} R={helpers} ({mode})")
+                    run = transcript.to_dict()
                     rows.append(
                         {
                             "h": h,
@@ -279,9 +244,9 @@ def inject_and_sweep(
                             "failed": list(failed),
                             "helpers": list(helpers),
                             "mode": mode,
-                            "measured": transcript.ledger.total,
-                            "bound": _fraction_json(transcript.bound),
-                            "optimal": transcript.optimal,
+                            "measured": run["total"],
+                            "bound": run["bounds"][mode],
+                            "optimal": run["optimal"],
                         }
                     )
     return rows

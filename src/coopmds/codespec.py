@@ -39,6 +39,7 @@ arithmetic; array columns are the same nodes 0-based.
 from __future__ import annotations
 
 import itertools
+import numbers
 import struct
 from dataclasses import dataclass
 from math import comb, prod
@@ -302,9 +303,15 @@ class CodeSpec:
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "CodeSpec":
+        if not isinstance(desc, dict) or not isinstance(desc.get("field"), dict):
+            raise ValueError("a code descriptor is an object with a field object")
         fieldspec = FieldSpec(desc["field"]["kind"], desc["field"]["modulus"])
         if desc["family"] == "concatenated":
             n, k, pairs = desc["n"], desc["k"], desc["components"]
+            if not isinstance(pairs, list) or any(
+                not isinstance(pair, list) or len(pair) != 2 for pair in pairs
+            ):
+                raise ValueError("concatenation components are a list of [h, d] pairs")
             return concat([make_code("any_subset", n, k, h, d, fieldspec) for h, d in pairs])
         return make_code(desc["family"], desc["n"], desc["k"], desc["h"], desc["d"], fieldspec)
 
@@ -327,6 +334,8 @@ def min_field_order(family: str, n: int, h: int, s: int) -> int:
 
 
 def _check_admissible(n: int, k: int, h: int, d: int) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, k, h, d)):
+        raise ValueError(f"n, k, h and d must be integers, got {n!r}, {k!r}, {h!r}, {d!r}")
     if n < 2 or not 1 <= k < n:
         raise InadmissibleError(f"need 1 <= k < n, got n={n} k={k}")
     if h < 1:
@@ -344,8 +353,6 @@ def make_code(
     h: int,
     d: int,
     field: "FieldSpec | Field",
-    *,
-    subpacket_cap: int = DEFAULT_SUBPACKET_CAP,
 ) -> CodeSpec:
     """Construct a fixed_subset or any_subset CodeSpec.
 
@@ -364,10 +371,8 @@ def make_code(
     else:
         m = comb(n, h)
         l = ca**m
-        if l > subpacket_cap:
-            raise InadmissibleError(
-                f"sub-packetization {ca}^{m} exceeds cap {subpacket_cap}"
-            )
+        if l > DEFAULT_SUBPACKET_CAP:
+            raise InadmissibleError(f"sub-packetization {ca}^{m} exceeds {DEFAULT_SUBPACKET_CAP}")
     need = min_field_order(family, n, h, s)
     if fobj.order < need:
         raise InadmissibleError(
@@ -386,7 +391,7 @@ def make_code(
     return CodeSpec(family, params, fieldspec, lam)
 
 
-def concat(codes: Iterable[CodeSpec], *, subpacket_cap: int = DEFAULT_SUBPACKET_CAP) -> CodeSpec:
+def concat(codes: Iterable[CodeSpec]) -> CodeSpec:
     """Concatenation: row index = tuple of component rows, sub-packetizations
     multiply, one shared λ table of s_max entries per node.
 
@@ -411,8 +416,8 @@ def concat(codes: Iterable[CodeSpec], *, subpacket_cap: int = DEFAULT_SUBPACKET_
         if c.fieldspec != fieldspec:
             raise InadmissibleError("components disagree on the field")
     l = prod(c.params.l for c in flat)
-    if l > subpacket_cap:
-        raise InadmissibleError(f"sub-packetization {l} exceeds cap {subpacket_cap}")
+    if l > DEFAULT_SUBPACKET_CAP:
+        raise InadmissibleError(f"sub-packetization {l} exceeds {DEFAULT_SUBPACKET_CAP}")
     smax = max(c.params.s for c in flat)
     fobj = make_field(fieldspec)
     need = smax * n
@@ -423,13 +428,7 @@ def concat(codes: Iterable[CodeSpec], *, subpacket_cap: int = DEFAULT_SUBPACKET_
     return CodeSpec("concatenated", params, fieldspec, lam, components=tuple(flat))
 
 
-def universal_code(
-    n: int,
-    k: int,
-    field: "FieldSpec | Field | None" = None,
-    *,
-    subpacket_cap: int = DEFAULT_SUBPACKET_CAP,
-) -> CodeSpec:
+def universal_code(n: int, k: int, field: "FieldSpec | Field | None" = None) -> CodeSpec:
     """The concatenation over every admissible (h, d): optimal repair of any
     h failed nodes from any d >= k+1 helpers with h + d <= n."""
     pairs = [(h, d) for h in range(1, n - k) for d in range(k + 1, n - h + 1)]
@@ -438,8 +437,4 @@ def universal_code(
     if field is None:
         smax = max(d + 1 - k for _, d in pairs)
         field = smallest_field_spec(smax * n)
-    comps = [
-        make_code("any_subset", n, k, h, d, field, subpacket_cap=subpacket_cap)
-        for h, d in pairs
-    ]
-    return concat(comps, subpacket_cap=subpacket_cap)
+    return concat([make_code("any_subset", n, k, h, d, field) for h, d in pairs])

@@ -18,6 +18,7 @@ runs and platforms, which is what makes shard files self-describing.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,6 +64,8 @@ class FieldSpec:
     modulus: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.modulus, bool) or not isinstance(self.modulus, numbers.Integral):
+            raise ValueError(f"field modulus must be an integer, got {self.modulus!r}")
         if self.kind == "prime":
             if not (2 <= self.modulus <= 0xFFFF):
                 raise ValueError(f"prime modulus out of range: {self.modulus}")

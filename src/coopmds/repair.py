@@ -326,17 +326,6 @@ def _inbox(
 # ---- round 1 ----------------------------------------------------------------
 
 
-def _helper_message(
-    spec: CodeSpec, geom: _Geometry, helper: int, failed: int, column: np.ndarray
-) -> RepairMessage:
-    col = spec.field.as_symbols(column)
-    if col.ndim not in (1, 2) or col.shape[0] != spec.params.l:
-        raise ValueError(f"column must have {spec.params.l} rows")
-    sums = spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
-    payload = sums.reshape((geom.quota,) + col.shape[1:])
-    return RepairMessage(1, helper, failed, payload, cells=(geom, failed))
-
-
 def round1_helper_payload(
     spec: CodeSpec, ctx: RepairContext, helper: int, failed: int, column: np.ndarray
 ) -> RepairMessage:
@@ -346,7 +335,13 @@ def round1_helper_payload(
         raise ValueError(f"node {helper} is not a helper in this context")
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _helper_message(spec, _geometry(spec, ctx), helper, failed, column)
+    geom = _geometry(spec, ctx)
+    col = spec.field.as_symbols(column)
+    if col.ndim not in (1, 2) or col.shape[0] != spec.params.l:
+        raise ValueError(f"column must have {spec.params.l} rows")
+    sums = spec.field.sum(geom.blocks(col)[:, geom.node_table[failed]], axis=2)
+    payload = sums.reshape((geom.quota,) + col.shape[1:])
+    return RepairMessage(1, helper, failed, payload, cells=(geom, failed))
 
 
 def _round1_points(spec: CodeSpec, geom: _Geometry, i: int) -> np.ndarray:
@@ -381,30 +376,6 @@ def _round1_groups(spec: CodeSpec, geom: _Geometry, i: int) -> _RowGroups:
     )
 
 
-def _solve_node(
-    spec: CodeSpec, geom: _Geometry, i: int, payloads: Iterable[RepairMessage]
-) -> Round1State:
-    ctx, s = geom.ctx, geom.s
-    known, shapes = _inbox(geom, 1, i, ctx.helpers, payloads)
-    flat = shapes == {(geom.quota,)}
-    r = spec.params.r
-    groups = _round1_groups(spec, geom, i)
-    vals = groups.complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
-
-    l, stripes, table = spec.params.l, vals.shape[2], geom.node_table[i]
-    column = np.zeros((l, stripes), dtype=vals.dtype)
-    filled = np.zeros(l, dtype=bool)
-    for u in range(s):
-        geom.blocks(column)[:, table[:, u]] = geom.by_cell(vals[:, u])
-    geom.blocks(filled)[:, table] = True
-    cross = [ip for ip in ctx.failed if ip != i]
-    sums = vals[:, s:, 0] if flat else vals[:, s:]
-    outgoing = tuple(
-        RepairMessage(2, i, ip, sums[:, idx], cells=(geom, i)) for idx, ip in enumerate(cross)
-    )
-    return Round1State(i, column[:, 0] if flat else column, filled, outgoing)
-
-
 def round1_solve(
     spec: CodeSpec,
     ctx: RepairContext,
@@ -419,37 +390,29 @@ def round1_solve(
     """
     if failed not in ctx.failed:
         raise ValueError(f"node {failed} is not failed in this context")
-    return _solve_node(spec, _geometry(spec, ctx), failed, payloads)
+    geom = _geometry(spec, ctx)
+    s, r = geom.s, spec.params.r
+    known, shapes = _inbox(geom, 1, failed, ctx.helpers, payloads)
+    flat = shapes == {(geom.quota,)}
+    groups = _round1_groups(spec, geom, failed)
+    vals = groups.complete(r, np.arange(r, r + ctx.d), np.stack(known, axis=1))
+
+    l, stripes, table = spec.params.l, vals.shape[2], geom.node_table[failed]
+    column = np.zeros((l, stripes), dtype=vals.dtype)
+    filled = np.zeros(l, dtype=bool)
+    for u in range(s):
+        geom.blocks(column)[:, table[:, u]] = geom.by_cell(vals[:, u])
+    geom.blocks(filled)[:, table] = True
+    cross = [ip for ip in ctx.failed if ip != failed]
+    sums = vals[:, s:, 0] if flat else vals[:, s:]
+    outgoing = tuple(
+        RepairMessage(2, failed, ip, sums[:, idx], cells=(geom, failed))
+        for idx, ip in enumerate(cross)
+    )
+    return Round1State(failed, column[:, 0] if flat else column, filled, outgoing)
 
 
 # ---- round 2 ----------------------------------------------------------------
-
-
-def _finish_column(
-    spec: CodeSpec, geom: _Geometry, i: int, state: Round1State, received: Iterable[RepairMessage]
-) -> np.ndarray:
-    field, s = spec.field, geom.s
-    senders = tuple(ip for ip in geom.ctx.failed if ip != i)
-    sums, shapes = _inbox(geom, 2, i, senders, received)
-    if shapes - {(geom.quota,) + state.column.shape[1:]}:
-        raise ValueError(f"round-2 payloads {shapes} do not fit state {state.column.shape}")
-    l = spec.params.l
-    column = state.column.reshape(l, -1).copy()
-    filled = state.filled.copy()
-    cols, done = geom.blocks(column), geom.blocks(filled)
-    for ip, acc in zip(senders, sums):
-        # each of ip's cells sums s rows; round 1 knew all but the digit-(s-1) one
-        table = geom.node_table[ip]
-        acc = geom.by_cell(acc)
-        for u in range(s - 1):
-            if not done[:, table[:, u]].all():
-                raise ValueError("round-1 state is missing entries the exchange relies on")
-            acc = field.sub(acc, cols[:, table[:, u]])
-        cols[:, table[:, s - 1]] = acc
-        done[:, table[:, s - 1]] = True
-    if not filled.all():
-        raise ValueError("repair incomplete: rows remain uncovered")
-    return column.reshape(state.column.shape)
 
 
 def round2_exchange_and_finish(
@@ -464,7 +427,28 @@ def round2_exchange_and_finish(
     row with digit s-1 at the sender's position, completing the column."""
     if failed != state.node:
         raise ValueError("state belongs to a different node")
-    return _finish_column(spec, _geometry(spec, ctx), failed, state, received)
+    geom, field = _geometry(spec, ctx), spec.field
+    senders = tuple(ip for ip in ctx.failed if ip != failed)
+    sums, shapes = _inbox(geom, 2, failed, senders, received)
+    if shapes - {(geom.quota,) + state.column.shape[1:]}:
+        raise ValueError(f"round-2 payloads {shapes} do not fit state {state.column.shape}")
+    l = spec.params.l
+    column = state.column.reshape(l, -1).copy()
+    filled = state.filled.copy()
+    cols, done = geom.blocks(column), geom.blocks(filled)
+    for ip, acc in zip(senders, sums):
+        # each of ip's cells sums s rows; round 1 knew all but the digit-(s-1) one
+        table = geom.node_table[ip]
+        acc = geom.by_cell(acc)
+        for u in range(geom.s - 1):
+            if not done[:, table[:, u]].all():
+                raise ValueError("round-1 state is missing entries the exchange relies on")
+            acc = field.sub(acc, cols[:, table[:, u]])
+        cols[:, table[:, geom.s - 1]] = acc
+        done[:, table[:, geom.s - 1]] = True
+    if not filled.all():
+        raise ValueError("repair incomplete: rows remain uncovered")
+    return column.reshape(state.column.shape)
 
 
 # ---- full protocol ----------------------------------------------------------
@@ -472,42 +456,49 @@ def round2_exchange_and_finish(
 
 def _run_rounds(
     spec: CodeSpec,
-    geom: _Geometry,
+    ctx: RepairContext,
     helper_columns: Mapping[int, np.ndarray],
-    *,
-    meter_round2: bool,
+    mode: str,
     pool_map=map,
-) -> tuple[dict[int, np.ndarray], list[RepairMessage], BandwidthLedger]:
-    """Both rounds on one geometry of spec, round-1 solves through pool_map:
-    restored columns, metered messages in (round, sender, receiver) order,
-    ledger."""
-    ctx = geom.ctx
-    ledger = BandwidthLedger()
+) -> tuple[dict[int, np.ndarray], RepairTranscript]:
+    """The one run of the protocol that the library, the CLI and the
+    simulator share: both rounds through the public round functions, the
+    round-1 solves through pool_map.
+
+    helper_columns holds one column per helper of ctx, all of one shape, and
+    mode is "cooperative" or "centralized"; repair_columns checks both.
+    Returns the restored failed columns and a transcript of the metered
+    messages in (round, sender, receiver) order, their ledger, both cut-set
+    bounds and the stripe count.  In centralized mode the round-2 arithmetic
+    happens at the pooling point, so only round-1 messages are metered.
+    """
     messages: list[RepairMessage] = []
     inbox1: dict[int, list[RepairMessage]] = {i: [] for i in ctx.failed}
     for j in ctx.helpers:
         for i in ctx.failed:
-            msg = _helper_message(spec, geom, j, i, helper_columns[j])
+            msg = round1_helper_payload(spec, ctx, j, i, helper_columns[j])
             inbox1[i].append(msg)
-            ledger.add(msg)
             messages.append(msg)
-    solved = pool_map(lambda i: _solve_node(spec, geom, i, inbox1[i]), ctx.failed)
+    solved = pool_map(lambda i: round1_solve(spec, ctx, i, inbox1[i]), ctx.failed)
     states = dict(zip(ctx.failed, solved))
     inbox2: dict[int, list[RepairMessage]] = {i: [] for i in ctx.failed}
-    for i in ctx.failed:
-        for msg in states[i].outgoing:
+    for state in states.values():
+        for msg in state.outgoing:
             inbox2[msg.receiver].append(msg)
-            if meter_round2:
-                ledger.add(msg)
+            if mode == "cooperative":
                 messages.append(msg)
-    restored = {i: _finish_column(spec, geom, i, states[i], inbox2[i]) for i in ctx.failed}
+    restored = {
+        i: round2_exchange_and_finish(spec, ctx, i, states[i], inbox2[i]) for i in ctx.failed
+    }
     messages.sort(key=lambda m: (m.round, m.sender, m.receiver))
-    return restored, messages, ledger
-
-
-def _bounds(spec: CodeSpec, ctx: RepairContext) -> tuple[Fraction, Fraction]:
+    ledger = BandwidthLedger()
+    for msg in messages:
+        ledger.add(msg)
     k, l = spec.params.k, spec.params.l
-    return cutset_cooperative(ctx.h, ctx.d, k, l), cutset_centralized(ctx.h, ctx.d, k, l)
+    coop, cent = cutset_cooperative(ctx.h, ctx.d, k, l), cutset_centralized(ctx.h, ctx.d, k, l)
+    shape = np.shape(helper_columns[ctx.helpers[0]])
+    stripes = shape[1] if len(shape) == 2 else 1
+    return restored, RepairTranscript(mode, tuple(messages), ledger, coop, cent, stripes=stripes)
 
 
 def repair_columns(
@@ -525,19 +516,14 @@ def repair_columns(
     """
     if mode not in ("cooperative", "centralized"):
         raise ValueError(f"unknown mode {mode!r}")
-    geom = _geometry(spec, ctx)
+    _geometry(spec, ctx)  # checks ctx against spec first
     if sorted(helper_columns) != list(ctx.helpers):
         raise ValueError(f"need columns for helpers {ctx.helpers}, got {sorted(helper_columns)}")
     shape = np.shape(helper_columns[ctx.helpers[0]])
     for j, col in helper_columns.items():
         if np.shape(col) != shape:
             raise ValueError(f"helper {j}'s column has shape {np.shape(col)}, not {shape}")
-    restored, messages, ledger = _run_rounds(
-        spec, geom, helper_columns, meter_round2=(mode == "cooperative")
-    )
-    coop, cent = _bounds(spec, ctx)
-    stripes = shape[1] if len(shape) == 2 else 1
-    return restored, RepairTranscript(mode, tuple(messages), ledger, coop, cent, stripes=stripes)
+    return _run_rounds(spec, ctx, helper_columns, mode)
 
 
 def _repair_array(

@@ -633,6 +633,22 @@ def test_bench_single_n_sweep(tmp_path, capsys):
     assert target == [["5", "2", "2", "3", "3", "8", "8", "6", "6", "true"]]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--sweep", "4:6"], "555542ac5f795cda3f63c74db18bb06ad4f4fa71157eb3d09a9e09796aa4e229"),
+        (
+            ["--sweep", "4:4", "--family", "any_subset"],
+            "c31bd8f5e29db1ac2664e9a348267c97dfa9101678a323b0e6b09bdedf0a5941",
+        ),
+    ],
+)
+def test_bench_output_is_golden(capsys, argv, digest):
+    """Every sweep row's traffic, bounds and verdict, pinned byte for byte."""
+    assert main(["bench", *argv]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # ---- scenario ---------------------------------------------------------------
 
 
@@ -667,6 +683,29 @@ def test_scenario_bad_config(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text("{\"seed\": 1}")
     assert main(["scenario", str(path)]) == EXIT_INADMISSIBLE
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"seed": 1, "events": [{"type": "fail", "nodes": [True, 3]}]},
+        {"seed": 1.9, "events": []},
+        [],
+        {"seed": 1, "events": {}},
+        {"seed": 1, "events": ["verify"]},
+        {"seed": 1, "events": [], "spec": {"n": "5"}},
+    ],
+    ids=["true node", "float seed", "list document", "object events", "string event", "string n"],
+)
+def test_scenario_with_a_wrongly_typed_config_exits_2(tmp_path, capsys, doc):
+    if isinstance(doc, dict):
+        spec = make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("prime", 7)).descriptor()
+        doc = {"spec": dict(spec, **doc.pop("spec", {})), **doc}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", str(path)]) == EXIT_INADMISSIBLE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 # ---- plumbing ---------------------------------------------------------------

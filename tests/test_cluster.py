@@ -51,10 +51,50 @@ def test_config_rejects_malformed_events():
         {"type": "fail", "nodes": [6]},
         {"type": "repair", "helpers": [3], "mode": "psychic"},
         {"type": "rebalance"},
+        # bool is a subclass of int, but JSON true is no node
+        {"type": "fail", "nodes": [True]},
+        {"type": "repair", "helpers": [3, 4, False]},
+        {"type": "fail", "nodes": 1},
+        "verify",
     ]
     for ev in bad:
         with pytest.raises(ValueError):
             ClusterConfig(spec, 0, (ev,))
+
+
+def _malformed_configs():
+    """Scenario documents of the wrong shape or type, each of which a JSON
+    reader accepts as it is (events of the wrong type are
+    test_config_rejects_malformed_events)."""
+    spec = fixed523().descriptor()
+    concatenated = concat([make_code("any_subset", 4, 1, h, 2, GF13) for h in (1, 2)]).descriptor()
+    events = list(FAIL_REPAIR_VERIFY)
+    return {
+        "float seed": {"spec": spec, "seed": 1.9, "events": events},
+        "true seed": {"spec": spec, "seed": True, "events": events},
+        "missing seed": {"spec": spec, "events": events},
+        "list document": [spec, 1, events],
+        "number events": {"spec": spec, "seed": 1, "events": 5},
+        "string events": {"spec": spec, "seed": 1, "events": "verify"},
+        "string n": {"spec": dict(spec, n="5"), "seed": 1, "events": events},
+        # k = 1 would make an admissible code
+        "true k": {"spec": dict(concatenated, k=True), "seed": 1, "events": []},
+        "string modulus": {
+            "spec": dict(spec, field={"kind": "prime", "modulus": "7"}),
+            "seed": 1,
+            "events": events,
+        },
+        "number spec": {"spec": 5, "seed": 1, "events": events},
+        "number field": {"spec": dict(spec, field=7), "seed": 1, "events": events},
+        "number components": {"spec": dict(concatenated, components=5), "seed": 1, "events": []},
+        "number component": {"spec": dict(concatenated, components=[5]), "seed": 1, "events": []},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_configs()))
+def test_config_from_json_rejects_wrong_types(case):
+    with pytest.raises(ValueError):
+        ClusterConfig.from_json(json.dumps(_malformed_configs()[case]))
 
 
 def test_config_json_round_trip():
@@ -228,22 +268,13 @@ def test_meter_log_matches_the_library_transcripts(workers):
             helpers = {j: cw.column(j) for j in ctx.helpers}
             _, transcript = repair_columns(spec, ctx, helpers, mode=ev["mode"])
             expect += [(m.round, m.sender, m.receiver, m.symbols) for m in transcript.messages]
+            run = transcript.to_dict()
+            assert ev["ledger_total"] == transcript.ledger.total == run["total"]
+            assert ev["bounds"] == run["bounds"]
+            assert ev["optimal"] is transcript.optimal is True
     log = [(e["round"], e["from"], e["to"], e["symbols"]) for e in report.meter.log]
     assert {rnd for rnd, *_ in log} == {1, 2}
     assert log == expect
-
-
-# ---- node isolation ---------------------------------------------------------
-
-
-def test_node_state_is_minimal():
-    """A node carries its id, its column, and an inbox, nothing else."""
-    from coopmds.cluster import NodeState
-
-    st = NodeState(3, np.zeros(4, dtype=np.int64))
-    assert st.node == 3 and st.inbox == []
-    with pytest.raises(AttributeError):
-        st.peer_columns = {}
 
 
 # ---- sweep ------------------------------------------------------------------

@@ -345,8 +345,9 @@ def test_make_code_any_subset_example():
     spec = make_code("any_subset", 4, 1, 2, 2, FieldSpec("binary", 3))
     assert spec.params.l == 3**6 == 729
     assert spec.params.m == 6
-    with pytest.raises(InadmissibleError):
-        make_code("any_subset", 4, 1, 2, 2, GF7, subpacket_cap=100)
+    # 8^15 rows, past the 2^24 cap before any table is built
+    with pytest.raises(InadmissibleError, match="exceeds"):
+        make_code("any_subset", 6, 1, 2, 3, GF7)
 
 
 def test_make_code_inadmissible():
@@ -427,8 +428,9 @@ def test_concat_validation():
         concat([fixed])
     with pytest.raises(ValueError):
         concat([])
-    with pytest.raises(InadmissibleError):
-        concat([c22, c22], subpacket_cap=1000)
+    # 729^3 rows, past the 2^24 cap before any table is built
+    with pytest.raises(InadmissibleError, match="exceeds"):
+        concat([c22, c22, c22])
 
 
 def test_universal_code_n4():

@@ -551,7 +551,7 @@ def test_threads_repairing_one_pattern_share_one_geometry():
             start.wait()
             geom = _geometry(spec, ctx)
             seen.append(geom)
-            restored, _, _ = _run_rounds(spec, geom, helpers, meter_round2=True)
+            restored, _ = _run_rounds(spec, ctx, helpers, "cooperative")
             if not all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed):
                 errors.append("wrong column")
         except Exception as exc:  # reported below
@@ -584,7 +584,7 @@ def _view_cases():
 
 @pytest.mark.parametrize("case", range(3))
 def test_strided_views_gather_and_scatter_the_cell_rows(case):
-    from coopmds.repair import _geometry, _helper_message
+    from coopmds.repair import _geometry
 
     spec, ctx = _view_cases()[case]
     geom = _geometry(spec, ctx)
@@ -597,7 +597,7 @@ def test_strided_views_gather_and_scatter_the_cell_rows(case):
             rows, table = cell_rows(geom, i), geom.node_table[i]
             gathered = geom.blocks(col)[:, table]  # (block, class, u, offset[, stripes])
             assert np.array_equal(np.moveaxis(gathered, 2, 3).reshape(rows.shape + shape[1:]), col[rows])
-            msg = _helper_message(spec, geom, ctx.helpers[0], i, col)
+            msg = round1_helper_payload(spec, ctx, ctx.helpers[0], i, col)
             assert np.array_equal(msg.payload, spec.field.sum(col[rows], axis=1))
             for u in range(s):
                 vals = rng.integers(0, spec.field.order, size=(geom.quota,) + shape[1:])
@@ -675,7 +675,8 @@ def test_every_message_about_a_node_carries_its_derived_tags():
     cw = random_codeword(spec, seed=59)
     ctx = RepairContext((2, 5), (1, 3, 4))
     geom = _geometry(spec, ctx)
-    _, messages, _ = _run_rounds(spec, geom, {j: cw.column(j) for j in ctx.helpers}, meter_round2=True)
+    _, transcript = _run_rounds(spec, ctx, {j: cw.column(j) for j in ctx.helpers}, "cooperative")
+    messages = list(transcript.messages)
     states = _round1_states(spec, ctx, cw)
     messages += [m for st in states.values() for m in st.outgoing]
     messages.append(round1_helper_payload(spec, ctx, 1, 2, cw.column(1)))
@@ -765,7 +766,7 @@ def test_inbox_checks_cell_references_against_the_formula():
 
 
 def test_a_width_one_stripe_axis_is_kept_through_both_rounds():
-    from coopmds.repair import _Geometry, _run_rounds
+    from coopmds.repair import _run_rounds
 
     spec = make_code("any_subset", 4, 1, 2, 2, GF13)
     cw = random_codeword(spec, seed=61)
@@ -778,8 +779,8 @@ def test_a_width_one_stripe_axis_is_kept_through_both_rounds():
         for i in ctx.failed:
             assert restored[i].shape == shape
             assert np.array_equal(restored[i].reshape(l), cw.column(i))
-        _, messages, _ = _run_rounds(spec, _Geometry(spec, ctx), helpers, meter_round2=True)
-        assert {m.payload.shape for m in messages} == {(quota,) + shape[1:]}
+        _, transcript = _run_rounds(spec, ctx, helpers, "cooperative")
+        assert {m.payload.shape for m in transcript.messages} == {(quota,) + shape[1:]}
 
 
 def test_repair_columns_rejects_helper_columns_of_differing_shapes():

@@ -159,14 +159,14 @@ def test_run_scenario_keeps_node_columns_in_the_symbol_dtype(monkeypatch):
     code = make_code("any_subset", 4, 1, 2, 2, GF13)
     seen = []
 
-    class RecordingNode(cluster.NodeState):
-        __slots__ = ()
+    run_rounds = cluster._run_rounds
 
-        def __init__(self, node, column):
-            seen.append(np.asarray(column).dtype)
-            super().__init__(node, column)
+    def recording(spec, ctx, helper_columns, mode, pool_map=map):
+        restored, transcript = run_rounds(spec, ctx, helper_columns, mode, pool_map)
+        seen.extend(col.dtype for col in [*helper_columns.values(), *restored.values()])
+        return restored, transcript
 
-    monkeypatch.setattr(cluster, "NodeState", RecordingNode)
+    monkeypatch.setattr(cluster, "_run_rounds", recording)
     events = (
         {"type": "fail", "nodes": [1, 3]},
         {"type": "repair", "helpers": [2, 4]},
@@ -177,7 +177,8 @@ def test_run_scenario_keeps_node_columns_in_the_symbol_dtype(monkeypatch):
     )
     report = run_scenario(ClusterConfig(code, 5, events))
     assert report.verified
-    assert len(seen) == code.params.n + 4
+    # two helper columns in, two restored columns out, per repair
+    assert len(seen) == 8
     assert set(seen) == {code.field.symbol_dtype}
 
 

@@ -19,14 +19,14 @@ when the field order is at most 256, two bytes otherwise.  A stripe holds
 k*l data symbols taken from the file in order, zero-padded at the end; shard
 i stores row coordinate i of every stripe.
 
-Symbols keep that format from read to write.  encode views the padded file
-as (stripes, l, k) and decode, verify and repair view each shard as
-(stripes, l); the codec's striped kernels and repair take these views and
-return columns laid out as shard payloads.  repair, decode and verify read
-shards through one loader that maps each file and checks it once.
-Every shard and decoded file is written under a hidden temp name and renamed
-into place, so a failed write never leaves a partial file under the final
-name.
+Symbols keep that format from read to write.  Stripes are independent
+codewords, so the file commands run over near-equal chunks of at most
+CHUNK_STRIPES stripes and memory follows the chunk, not the file: inputs
+and shards are read a chunk at a time, and each output is written chunk by
+chunk under a hidden temp name, a shard's header last with its running CRC.
+A command renames its files into place only once every chunk and check has
+passed, so a failure leaves nothing new under a final name.  Nothing is
+fsynced: the rename guards against the command failing, not power loss.
 
 Exit codes: 0 success, 2 inadmissible parameters or malformed input,
 3 verification failure (checksum, parity, or corrupt shard), 4 I/O error.
@@ -35,7 +35,9 @@ Exit codes: 0 success, 2 inadmissible parameters or malformed input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import mmap
@@ -55,6 +57,7 @@ from coopmds.codec import decode_cells, encode_parity, parity_witness
 from coopmds.codespec import CodeSpec, InadmissibleError, card_A, make_code, min_field_order
 from coopmds.field import Field, FieldSpec, smallest_field_spec
 from coopmds.repair import (
+    BandwidthLedger,
     RepairContext,
     _fraction_json,
     cutset_centralized,
@@ -71,6 +74,11 @@ EXIT_VERIFY = 3
 EXIT_IO = 4
 
 _TRAILER = struct.Struct("<HIQI")
+
+# Most stripes a file command holds at once.  A larger file's near-equal
+# chunks hold 65,537 or more, so one GF(2^16) row's 65,536 table entries
+# still take a product-table path, as the whole file does.
+CHUNK_STRIPES = 1 << 17
 
 
 class ShardFormatError(Exception):
@@ -144,32 +152,56 @@ def _field_from_order(order: int) -> FieldSpec:
     return FieldSpec("prime", order)
 
 
-def _write_atomic(path: Path, data: "bytes | memoryview") -> None:
-    """Write data under a hidden sibling name (not matched by ``shard_*.cmds``)
-    and rename it into place: a failed write leaves nothing under path."""
-    tmp = path.with_name(f".{path.name}.tmp")
+def _chunks(stripes: int) -> list[tuple[int, int]]:
+    """(start, stop) of ceil(stripes / CHUNK_STRIPES) near-equal chunks, at least one."""
+    count = max(1, -(-stripes // CHUNK_STRIPES))
+    return [(stripes * c // count, stripes * (c + 1) // count) for c in range(count)]
+
+
+@contextlib.contextmanager
+def _writing(paths: Sequence[Path]) -> Iterator[list]:
+    """Files opened under hidden sibling names (not matched by ``shard_*.cmds``)
+    and renamed into place once the block ends cleanly; if it raises they are
+    removed, so a failed write leaves nothing under any of the paths."""
+    tmps = [path.with_name(f".{path.name}.tmp") for path in paths]
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_shard(
-    shard_dir: Path, spec: CodeSpec, node: int, stripes: int, orig_len: int, column: np.ndarray
-) -> str:
-    """Write node's shard of a (stripes, l) column, returning its file name."""
-    payload = _symbols_to_bytes(column, spec.field)
-    header = ShardHeader(spec, node, stripes, orig_len, zlib.crc32(payload))
-    _write_atomic(shard_dir / _shard_name(node), header.to_bytes() + payload)
-    return _shard_name(node)
+@contextlib.contextmanager
+def _shard_writer(shard_dir: Path, nodes: Sequence[int], like: ShardHeader) -> Iterator:
+    """A function appending one chunk of the nodes' columns, each (stripes,
+    l), to their shards, whose headers are like's; each header, with its
+    payload's CRC, goes in front once the last chunk is in."""
+    crcs = [0] * len(nodes)
+    with _writing([shard_dir / _shard_name(node) for node in nodes]) as files:
+
+        def append(columns: Sequence[np.ndarray]) -> None:
+            for j, column in enumerate(columns):
+                payload = _symbols_to_bytes(column, like.spec.field)
+                crcs[j] = zlib.crc32(payload, crcs[j])
+                files[j].write(payload)
+
+        for fh in files:
+            fh.seek(len(like.to_bytes()))  # every node's header has this size
+        yield append
+        for fh, node, crc in zip(files, nodes, crcs):
+            fh.seek(0)
+            fh.write(dataclasses.replace(like, node=node, checksum=crc).to_bytes())
 
 
 def _emit(doc: dict, out: "Path | None") -> None:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     if out is not None:
-        _write_atomic(out, (text + "\n").encode())
+        with _writing([out]) as (fh,):
+            fh.write((text + "\n").encode())
     print(text)
 
 
@@ -192,28 +224,27 @@ def cmd_encode(
     field_order: int = 256,
     out: "Path | None" = None,
 ) -> int:
-    raw = input_path.read_bytes()
-    if not raw:
-        raise InadmissibleError("input file is empty")
-    orig_len = len(raw)
-    spec = make_code(family, n, k, h, d, _field_from_order(field_order))
-    p = spec.params
-    width = _disk_dtype(spec.field).itemsize
-    stripes = -(-orig_len // (width * p.k * p.l))
-    # the file zero-padded to whole stripes (an odd byte to a whole symbol)
-    padded = bytearray(stripes * p.k * p.l * width)
-    padded[:orig_len] = raw
-    data = _bytes_to_symbols(padded, spec.field).reshape(stripes, p.l, p.k)
-    parity = encode_parity(spec, data.transpose(1, 2, 0))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = []
-    for node in range(1, p.n + 1):
-        column = data[:, :, node - 1] if node <= p.k else parity[:, node - 1 - p.k].T
-        names.append(_write_shard(out_dir, spec, node, stripes, orig_len, column))
+    with open(input_path, "rb") as src:
+        orig_len = os.fstat(src.fileno()).st_size
+        if not orig_len:
+            raise InadmissibleError("input file is empty")
+        spec = make_code(family, n, k, h, d, _field_from_order(field_order))
+        p = spec.params
+        stripe_bytes = _disk_dtype(spec.field).itemsize * p.k * p.l
+        stripes = -(-orig_len // stripe_bytes)
+        buf = memoryview(np.empty(min(stripes, CHUNK_STRIPES) * stripe_bytes, np.uint8))
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with _shard_writer(out_dir, range(1, p.n + 1), ShardHeader(spec, 0, stripes, orig_len, 0)) as append:
+            for lo, hi in _chunks(stripes):
+                got = src.readinto(raw := buf[: (hi - lo) * stripe_bytes])
+                raw[got:] = bytes(len(raw) - got)  # the last chunk padded to whole stripes
+                data = _bytes_to_symbols(raw, spec.field).reshape(hi - lo, p.l, p.k)
+                parity = encode_parity(spec, data.transpose(1, 2, 0)).transpose(1, 2, 0)
+                append([*data.transpose(2, 0, 1), *parity])
+                del parity  # no chunk's parity outlives its write
     _emit(
         {
-            "shards": names,
+            "shards": [_shard_name(node) for node in range(1, p.n + 1)],
             "stripes": stripes,
             "orig_len": orig_len,
             "field": spec.field.order,
@@ -230,13 +261,14 @@ def cmd_encode(
 
 @dataclass(frozen=True)
 class _Shard:
-    """A loaded shard: its header and a read-only (stripes, l) view of its
-    symbols in the field's symbol dtype, or else the error that rejected it."""
+    """A loaded shard: its header, its mapping and a read-only (stripes, l)
+    view of the mapping as symbols, or else the error that rejected it."""
 
     name: str
     header: "ShardHeader | None" = None
     symbols: "np.ndarray | None" = None
     error: "ShardFormatError | InadmissibleError | None" = None
+    mapping: "mmap.mmap | None" = None
 
     def require(self) -> "_Shard":
         """This shard, or its error raised with the file name in front."""
@@ -253,10 +285,10 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
     (ShardFormatError), or a spec, stripe count or length unlike the first
     good shard's (InadmissibleError).
 
-    Each file is mapped read-only and its symbols are a view of the mapping,
-    so a read allocates no copy of the file.  A shard truncated in place while
-    mapped raises SIGBUS on access, not exit 0; this program only replaces
-    shards by os.replace, which leaves a mapped file's inode intact."""
+    Each file is mapped read-only, checked a chunk at a time with its pages
+    dropped from RSS after each, and viewed as symbols.  A shard truncated in
+    place while mapped raises SIGBUS on access, not exit 0; this program only
+    replaces shards by os.replace, which leaves a mapped file's inode intact."""
     if nodes is None:
         paths = sorted(shard_dir.glob("shard_*.cmds"))
         if not paths:
@@ -276,10 +308,12 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
                 raise ShardFormatError(f"claims node {header.node}")
             if not 1 <= header.node <= header.spec.params.n:
                 raise ShardFormatError(f"claims node {header.node} outside the code")
-            payload = memoryview(raw)[off:]
-            if zlib.crc32(payload) != header.checksum:
+            payload, crc = memoryview(raw)[off:], 0
+            for lo in range(0, len(payload), 1 << 20):
+                crc = zlib.crc32(payload[lo : lo + (1 << 20)], crc)
+                raw.madvise(mmap.MADV_DONTNEED)  # out of this process's RSS until read again
+            if crc != header.checksum:
                 raise ShardFormatError("checksum mismatch")
-            raw.madvise(mmap.MADV_DONTNEED)  # out of this process's RSS until read again
             l, field = header.spec.params.l, header.spec.field
             symbols = _bytes_to_symbols(payload, field)
             if symbols.size != header.stripes * l:
@@ -288,10 +322,12 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
                 )
             if header.stripes != -(-header.orig_len // (header.spec.params.k * l * symbols.itemsize)):
                 raise ShardFormatError(f"{header.stripes} stripes do not hold {header.orig_len} bytes")
-            try:
-                symbols = field.as_symbols(symbols)
-            except ValueError as exc:
-                raise ShardFormatError(str(exc)) from None
+            for lo, hi in _chunks(header.stripes):
+                try:
+                    field.as_symbols(symbols[lo * l : hi * l])
+                except ValueError as exc:
+                    raise ShardFormatError(str(exc)) from None
+                raw.madvise(mmap.MADV_DONTNEED)
             key = (header.spec, header.stripes, header.orig_len)
             if reference is not None and key != reference:
                 raise InadmissibleError("disagrees with other shards")
@@ -299,16 +335,17 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
             yield _Shard(path.name, error=exc)
             continue
         reference = key
-        yield _Shard(path.name, header, symbols.reshape(header.stripes, l))
+        yield _Shard(path.name, header, symbols.reshape(header.stripes, l), mapping=raw)
 
 
-def _stack(shards: list) -> np.ndarray:
-    """The shards' symbols as cells (l, len(shards), stripes).  Each list entry
-    is dropped once copied, unmapping a shard that nothing else holds."""
-    out = np.empty((len(shards),) + shards[0].symbols.shape, shards[0].symbols.dtype)
-    for j in range(len(shards)):
-        out[j], shards[j] = shards[j].symbols, None
-    return out.transpose(2, 0, 1)
+def _chunked(shards: list) -> Iterator[list]:
+    """The shards' symbols chunk by chunk, as one (chunk stripes, l) view of
+    each mapping; a chunk's pages leave this process's RSS once the caller
+    moves on to the next."""
+    for lo, hi in _chunks(shards[0].header.stripes):
+        yield [shard.symbols[lo:hi] for shard in shards]
+        for shard in shards:
+            shard.mapping.madvise(mmap.MADV_DONTNEED)
 
 
 # ---- repair ------------------------------------------------------------------
@@ -329,14 +366,17 @@ def cmd_repair(
     shards = [shard.require() for shard in _load_shards(shard_dir, ctx.helpers)]
     reference = shards[0].header
     spec = reference.spec
-    columns = {node: shard.symbols.T for node, shard in zip(ctx.helpers, shards)}
-    restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
-    names = [
-        _write_shard(shard_dir, spec, node, reference.stripes, reference.orig_len, restored[node].T)
-        for node in ctx.failed
-    ]
+    ledger = BandwidthLedger()
+    with _shard_writer(shard_dir, ctx.failed, reference) as append:
+        for views in _chunked(shards):
+            columns = {node: view.T for node, view in zip(ctx.helpers, views)}
+            restored, transcript = repair_columns(spec, ctx, columns, mode=mode)
+            append([restored.pop(node).T for node in ctx.failed])
+            for msg in transcript.messages:  # the accounting, not the chunk's messages, is kept
+                ledger.add(msg)
+            transcript = dataclasses.replace(transcript, messages=(), ledger=ledger, stripes=reference.stripes)
     report = transcript.to_dict()
-    report["restored"] = names
+    report["restored"] = [_shard_name(node) for node in ctx.failed]
     report["per_stripe"] = _fraction_json(Fraction(transcript.ledger.total, reference.stripes))
     _emit(report, out)
     return EXIT_OK
@@ -356,19 +396,22 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
     if len(shards) < p.k:
         raise InadmissibleError(f"need {p.k} shards to decode, found {len(shards)}")
     use = sorted(shards)[: p.k]
-    if use == list(range(1, p.k + 1)):
-        # shards 1..k hold the data symbols themselves: no arithmetic
-        data = np.stack([shards[i].symbols for i in use], axis=2)
-    else:
-        cells = decode_cells(spec, use, _stack([shards[i] for i in use]))
-        # every surplus shard must hold the column the decode implies
-        for node in sorted(shards)[p.k :]:
-            if not np.array_equal(cells[:, node - 1].T, shards[node].symbols):
-                raise ShardFormatError(f"{shards[node].name}: disagrees with the shards decoded")
-        data = np.stack([cells[:, j].T for j in range(p.k)], axis=2)
-
-    blob = memoryview(data.astype(_disk_dtype(spec.field), copy=False)).cast("B")
-    _write_atomic(output, blob[: reference.orig_len])
+    # shards 1..k hold the data symbols themselves: no arithmetic, no surplus
+    surplus = [] if use == list(range(1, p.k + 1)) else sorted(shards)[p.k :]
+    left = reference.orig_len
+    buf = np.empty((min(reference.stripes, CHUNK_STRIPES), p.l, p.k), _disk_dtype(spec.field))
+    with _writing([output]) as (fh,):
+        for views in _chunked([shards[i] for i in use + surplus]):
+            if surplus:
+                cells = decode_cells(spec, use, np.stack(views[: p.k]).transpose(2, 0, 1))
+                # every surplus shard must hold the column the decode implies
+                for node, view in zip(surplus, views[p.k :]):
+                    if not np.array_equal(cells[:, node - 1].T, view):
+                        raise ShardFormatError(f"{shards[node].name}: disagrees with the shards decoded")
+                views = [cells[:, j].T for j in range(p.k)]
+                del cells  # freed once the next chunk's views replace these
+            data = np.stack(views[: p.k], axis=2, out=buf[: len(views[0])])  # the file's layout
+            left -= fh.write(memoryview(data).cast("B")[:left])
     _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
     return EXIT_OK
 
@@ -396,9 +439,13 @@ def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
         if missing:
             ok = False
         elif ok:
-            del shard  # _stack unmaps each shard once copied
-            cells = _stack([good.pop(node) for node in range(1, n + 1)])
-            witness = parity_witness(spec, cells)
+            shards = [good[i] for i in range(1, n + 1)]
+            # the first failing (t, row) over every chunk, each stacked into one
+            # buffer (pages it never uses stay unmapped)
+            buf = np.empty((n, *shards[0].symbols[:CHUNK_STRIPES].shape), shards[0].symbols.dtype)
+            stacks = (np.stack(views, out=buf[:, : len(views[0])]) for views in _chunked(shards))
+            witnesses = [parity_witness(spec, cells.transpose(2, 0, 1)) for cells in stacks]
+            witness = min((w for w in witnesses if w is not None), default=None)
             if witness is None:
                 report["parity"] = {"ok": True}
             else:
@@ -467,7 +514,8 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
                     writer.writerow([n, k, h, d, spec.params.l, *coop, *central, optimal])
     text = buf.getvalue()
     if out is not None:
-        _write_atomic(out, text.encode())
+        with _writing([out]) as (fh,):
+            fh.write(text.encode())
     print(text, end="")
     return EXIT_OK
 

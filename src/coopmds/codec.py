@@ -14,7 +14,7 @@ first failing check.
 
 The striped kernels ``encode_parity``, ``decode_cells`` and ``parity_witness``
 take integer columns of l rows with an optional trailing stripe axis (the
-CLI's whole files).  Symbols are range-checked as they enter, and every
+CLI's chunks of stripes).  Symbols are range-checked as they enter, and every
 result, like ``CodewordArray`` cells, is in the field's ``symbol_dtype``:
 uint8 up to order 256, uint16 above.
 """

@@ -23,11 +23,12 @@ of its coefficient on every distinct row.  Terms are summed by ``Field.add``
 on one of three paths, chosen by shape alone so that the tables kept with a
 map never outgrow parity x known x systems x stripes symbols:
 
-- rows x order <= stripes (whole files, few rows): each row's systems look
-  their products up, byte symbols through ``bytes.translate``;
-- rows x order <= systems x stripes (one stripe over many distinct rows, as
-  in the universal codes): each block of 32K symbols reads its rows' tables
-  at row x order + symbol through an index that stays in cache;
+- byte symbols with rows x order <= stripes (files, few rows): each row's
+  systems look their products up through ``bytes.translate``;
+- rows x order <= systems x stripes (wider symbols on files, and one stripe
+  over many distinct rows, as in the universal codes): each block of 32K
+  symbols reads its rows' tables at row x order + symbol through an index
+  that stays in cache;
 - otherwise (a wide field over few systems, where tables would cost more
   than the products): ``Field.mul`` on each term's gathered coefficients.
 """
@@ -155,7 +156,7 @@ class _RowGroups:
         if parity:
             entry = self.map_for(parity, known_pos, unknown_pos)
             cells = len(self.rows) * self.field.order  # in one term's tables
-            if cells <= stripes:
+            if cells <= stripes and self.field.symbol_dtype == np.uint8:
                 self._apply_by_lookup(entry, vals, out)
             elif cells <= nsys * stripes:
                 self._apply_by_gather(entry, vals, out)
@@ -190,8 +191,8 @@ class _RowGroups:
             out[i] = acc.T
 
     def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
-        field = self.field
-        bytewise = field.symbol_dtype == np.uint8
+        """Byte symbols: one C pass of bytes.translate per term, several times
+        faster than a gather (no symbol reaches the zero pad)."""
         tables = self._tables(entry)
         for u in range(len(self.rows)):
             sel = np.flatnonzero(self.inverse == u)
@@ -200,21 +201,12 @@ class _RowGroups:
             x = vals[sel]
             accs = [None] * len(tables)
             for j in range(x.shape[1]):
-                index = x[:, j].tobytes() if bytewise else x[:, j]
+                index = x[:, j].tobytes()
                 for i, rows in enumerate(tables):
-                    term = _take(rows[j, u], index, x[:, j].shape)
-                    accs[i] = term if j == 0 else field.add(accs[i], term)
+                    term = np.frombuffer(index.translate(rows[j, u].tobytes().ljust(256, b"\0")), np.uint8)
+                    accs[i] = term if j == 0 else self.field.add(accs[i], term)
             for i, acc in enumerate(accs):
-                out[i][:, sel] = acc.T
-
-
-def _take(row: np.ndarray, index: "bytes | np.ndarray", shape: tuple) -> np.ndarray:
-    """row[index]: for byte symbols one C pass of bytes.translate, several
-    times faster than a gather (no symbol reaches the zero pad)."""
-    if isinstance(index, bytes):
-        table = row.tobytes().ljust(256, b"\0")
-        return np.frombuffer(index.translate(table), np.uint8).reshape(shape)
-    return row[index]
+                out[i][:, sel] = acc.reshape(len(x), -1).T
 
 
 def recover_batched(

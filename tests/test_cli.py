@@ -5,11 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coopmds.cli import (
+    CHUNK_STRIPES,
     EXIT_INADMISSIBLE,
     EXIT_IO,
     EXIT_OK,
@@ -435,6 +437,33 @@ def test_verify_report_names_the_oracle_witness(tmp_path, capsys, field, family,
     assert doc["parity"] == {"ok": False, "check": t, "row": witness_row}
 
 
+def test_verify_names_the_first_witness_over_every_chunk(tmp_path, capsys):
+    """The first chunk fails only a t=1 check in row 0 and the second a t=0
+    check in row 2: the report names (0, 2), the first in (t, row) order
+    over the whole file, not the first chunk's witness."""
+    n, stripes = 5, CHUNK_STRIPES + 1
+    src = write_input(tmp_path, size=6 * stripes, seed=53)
+    outdir = tmp_path / "shards"
+    assert main(["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]) == EXIT_OK
+    headers, columns = {}, {}
+    for node in (n - 1, n):
+        raw = (outdir / f"shard_{node:03d}.cmds").read_bytes()
+        headers[node], off = ShardHeader.parse(raw)
+        columns[node] = _bytes_to_symbols(raw[off:], headers[node].spec.field).reshape(stripes, -1).copy()
+    field = headers[n].spec.field
+    for node, delta in ((n - 1, 5), (n, field.neg(5))):  # cancels the t=0 check
+        columns[node][3, 0] = field.add(int(columns[node][3, 0]), delta)
+    columns[n - 1][stripes - 2, 2] = field.add(int(columns[n - 1][stripes - 2, 2]), 1)
+    for node in (n - 1, n):
+        payload = _symbols_to_bytes(columns[node], field)
+        header = headers[node]
+        fresh = ShardHeader(header.spec, node, header.stripes, header.orig_len, zlib.crc32(payload))
+        (outdir / f"shard_{node:03d}.cmds").write_bytes(fresh.to_bytes() + payload)
+    capsys.readouterr()
+    assert main(["verify", str(outdir)]) == EXIT_VERIFY
+    assert json.loads(capsys.readouterr().out)["parity"] == {"ok": False, "check": 0, "row": 2}
+
+
 def test_verify_empty_directory(tmp_path):
     empty = tmp_path / "none"
     empty.mkdir()
@@ -733,48 +762,77 @@ def test_header_parse_rejects_garbage():
 # ---- atomic writes -------------------------------------------------------------
 
 
+def folder_snapshot(folder):
+    """Every file's name and SHA-256, or nothing for a folder not made yet."""
+    if not folder.exists():
+        return {}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in folder.iterdir()}
+
+
 @pytest.mark.parametrize("command", ["encode", "repair", "decode", "encode --out", "bench --out"])
 def test_a_write_failing_halfway_leaves_nothing_under_the_final_name(tmp_path, monkeypatch, command):
-    from pathlib import Path
+    """The file commands run on two chunks of stripes, and a write fails
+    after a file's first chunk; a report, one chunk, fails half written.
+    Nothing new is left under a final name, no temp file either, and an
+    encode into a used folder leaves every shard of the old encode as it was."""
+    from coopmds import cli
 
-    src, outdir, code = encode_default(tmp_path)
-    assert code == EXIT_OK
+    code = ["--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    src = write_input(tmp_path, size=6 * (CHUNK_STRIPES + 1), seed=43)
+    outdir = tmp_path / "shards"
+    assert main(["encode", str(src), str(outdir), *code]) == EXIT_OK
+    report = command.endswith("--out")
     if command == "encode":
-        outdir = tmp_path / "fresh"
-        argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
-        target, folder = outdir / "shard_001.cmds", outdir
+        other = tmp_path / "other.bin"
+        other.write_bytes(np.random.default_rng(44).bytes(6 * (CHUNK_STRIPES + 1)))
+        argv, folder = ["encode", str(other), str(outdir), *code], outdir
     elif command == "repair":
         for name in ("shard_001.cmds", "shard_002.cmds"):
             (outdir / name).unlink()
-        argv = ["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]
-        target, folder = outdir / "shard_001.cmds", outdir
+        argv, folder = ["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"], outdir
     elif command == "decode":
-        target, folder = tmp_path / "decoded.bin", tmp_path
-        argv = ["decode", str(outdir), str(target)]
+        folder = tmp_path / "decoded"
+        folder.mkdir()
+        argv = ["decode", str(outdir), str(folder / "decoded.bin")]
     else:
         # the shards are written; only the report into its own folder fails
         folder = tmp_path / "reports"
         folder.mkdir()
-        target = folder / "report.out"
-        argv = command.split()[:1] + ["--out", str(target)]
+        argv = command.split()[:1] + ["--out", str(folder / "report.out")]
         if command.startswith("encode"):
-            argv[1:1] = [str(src), str(tmp_path / "fresh"), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+            argv[1:1] = [str(src), str(tmp_path / "fresh"), *code]
         else:
             argv[1:1] = ["--sweep", "4:4"]
-    before = set(folder.iterdir()) if folder.exists() else set()
-    write_bytes = Path.write_bytes
+    before = folder_snapshot(folder)
+    real_open = open
 
-    def half_write(self, data):
-        if self.parent != folder:
-            return write_bytes(self, data)
-        with open(self, "wb") as fh:
-            fh.write(data[: len(data) // 2])
-        raise OSError(28, "No space left on device")
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
 
-    monkeypatch.setattr(Path, "write_bytes", half_write)
+        def write(self, data):
+            self.writes += 1
+            if self.writes > (0 if report else 1):
+                self.fh.write(memoryview(data)[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FailingFile(fh) if "w" in mode and Path(path).parent == folder else fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
     assert main(argv) == EXIT_IO
-    assert not target.exists()
-    assert set(folder.iterdir()) == before  # no temp file left behind either
+    assert folder_snapshot(folder) == before
 
 
 # ---- narrow symbols on the file path -----------------------------------------
@@ -816,14 +874,15 @@ def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp
 
     taken = spy_completion_paths(monkeypatch)
     # the file_gf256 workload: 1 MiB, (5,2,2,3) over GF(2^8), 174,763 stripes
+    # in chunks of 87,381 and 87,382
     src = write_input(tmp_path, size=1 << 20, seed=37)
     outdir = tmp_path / "shards"
     argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
     assert main(argv) == EXIT_OK
-    assert taken == [("lookup", 3, 3, 174_763)]
+    assert taken == [("lookup", 3, 3, 87_381), ("lookup", 3, 3, 87_382)]
     taken.clear()
     assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
-    assert taken == [("lookup", 1, 1, 174_763)] * 2
+    assert taken == [("lookup", 1, 1, 87_381)] * 2 + [("lookup", 1, 1, 87_382)] * 2
 
     # cluster_universal: universal_code(4,1), one stripe over many rows, read
     # through product tables; no multiply touches a per-system array
@@ -844,3 +903,99 @@ def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp
     assert taken == [("gather", 81, 944_784, 1)] + [("gather", 162, 314_928, 1)] * 2
     assert sizes and max(sizes) < 314_928
     assert all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed)
+
+
+def test_no_chunk_of_a_wide_field_file_takes_the_multiply_path(tmp_path, monkeypatch):
+    """The file_gf65536 workload: 4 MiB, (5,2,2,3) over GF(2^16), 349,526
+    stripes in three chunks.  Two-byte symbols read product tables through a
+    gather, and every chunk is long enough for a single row's 65,536 entries."""
+    taken = spy_completion_paths(monkeypatch)
+    src = write_input(tmp_path, size=4 << 20, seed=47)
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+    assert main(argv + ["--field", "65536"]) == EXIT_OK
+    assert taken == [("gather", 3, 3, 116_508)] + [("gather", 3, 3, 116_509)] * 2
+    assert main(["verify", str(outdir)]) == EXIT_OK
+    for name in ("shard_001.cmds", "shard_002.cmds"):
+        (outdir / name).unlink()
+    assert main(["decode", str(outdir), str(tmp_path / "back.bin")]) == EXIT_OK
+    assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+    assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
+    # encode and verify 3 calls each, decode 3, repair 2 rounds x 3 chunks
+    assert len(taken) == 15 and {path for path, *_ in taken} == {"gather"}
+    assert {stripes for *_, stripes in taken} == {116_508, 116_509}
+
+
+# ---- chunks of stripes ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [256, 65536])
+@pytest.mark.parametrize("stripes", [1, CHUNK_STRIPES + 1, 2 * CHUNK_STRIPES + 1], ids=["one stripe", "one chunk plus one stripe", "odd length"])
+def test_chunked_file_ops_match_a_whole_file_encode(tmp_path, monkeypatch, field, stripes):
+    """Shards, decoded files and repair reports at chunk boundaries equal those
+    of one pass over the whole file.  The odd-length file ends one byte into
+    its last stripe, in the third chunk."""
+    from coopmds import cli
+
+    stripe_bytes = 6 * (1 if field == 256 else 2)
+    size = stripe_bytes * (stripes - 1) + (1 if stripes > CHUNK_STRIPES + 1 else stripe_bytes)
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(stripes).bytes(size))
+    code = ["--n", "5", "--k", "2", "--h", "2", "--d", "3", "--field", str(field)]
+    repair = ["--fail", "1,2", "--helpers", "3,4,5", "--out"]
+    outputs = {}
+    for chunk in (CHUNK_STRIPES, 1 << 40):
+        monkeypatch.setattr(cli, "CHUNK_STRIPES", chunk)
+        work = tmp_path / str(chunk)
+        shards = work / "shards"
+        assert main(["encode", str(src), str(shards), *code]) == EXIT_OK
+        encoded = shard_hashes(shards)
+        assert main(["verify", str(shards)]) == EXIT_OK
+        assert main(["decode", str(shards), str(work / "read.bin")]) == EXIT_OK
+        for node in (1, 2):
+            (shards / f"shard_00{node}.cmds").unlink()
+        assert main(["decode", str(shards), str(work / "degraded.bin")]) == EXIT_OK
+        assert main(["repair", str(shards), *repair, str(work / "repair.json")]) == EXIT_OK
+        assert shard_hashes(shards) == encoded
+        for name in ("read.bin", "degraded.bin"):
+            assert (work / name).read_bytes() == src.read_bytes(), name
+        outputs[chunk] = encoded, (work / "repair.json").read_bytes()
+    assert outputs[CHUNK_STRIPES] == outputs[1 << 40]
+    assert json.loads(outputs[CHUNK_STRIPES][1])["stripes"] == stripes
+
+
+def test_file_ops_peak_memory_follows_the_chunk_not_the_file(tmp_path):
+    """Each op's tracemalloc peak on a file of four chunks stays within 1.5x
+    of its peak on a file of one."""
+    import tracemalloc
+
+    def peaks(stripes):
+        work = tmp_path / str(stripes)
+        work.mkdir()
+        src = work / "in.bin"
+        src.write_bytes(np.random.default_rng(stripes).bytes(6 * stripes))
+        shards = work / "shards"
+        ops = {
+            "encode": ["encode", str(src), str(shards), "--n", "5", "--k", "2", "--h", "2", "--d", "3"],
+            "verify": ["verify", str(shards)],
+            "degraded decode": ["decode", str(shards), str(work / "back.bin")],
+            "repair": ["repair", str(shards), "--fail", "1,2", "--helpers", "3,4,5"],
+        }
+        out = {}
+        for op, argv in ops.items():
+            if op == "degraded decode":
+                for node in (1, 2):
+                    (shards / f"shard_00{node}.cmds").unlink()
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                out[op] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (work / "back.bin").read_bytes() == src.read_bytes()
+        return out
+
+    peaks(1000)  # field tables and code set-up, once
+    one, four = peaks(CHUNK_STRIPES), peaks(4 * CHUNK_STRIPES)
+    for op in one:
+        assert four[op] <= 1.5 * one[op], f"{op}: {four[op] / 2**20:.2f} against {one[op] / 2**20:.2f} MiB"

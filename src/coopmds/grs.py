@@ -17,18 +17,24 @@ for repair's round-1 points, so a code pays for them once per erasure
 pattern rather than once per call or stripe.
 
 Known symbols enter through ``Field.as_symbols``, which range-checks them,
-and every step keeps them in the field's ``symbol_dtype``.  A map keeps a
-product table per term (unknown i, known j): the ``Field.scale_table`` rows
-of its coefficient on every distinct row.  Terms are summed by ``Field.add``
-on one of three paths, chosen by shape alone so that the tables kept with a
-map never outgrow parity x known x systems x stripes symbols:
+and every step keeps them in the field's ``symbol_dtype``.  A map keeps
+joint product tables for groups of t consecutive known coordinates: unknown
+i's table on distinct row u holds sum_m c_ij_m·v_m at the index whose
+base-order digits are v_1..v_t, an outer ``Field.add`` of the per-term
+``Field.scale_table`` rows, which are themselves the tables at t = 1.
+Terms, or groups of them, are summed by ``Field.add`` on one of three
+paths, chosen by shape alone so that the tables kept with a map never
+outgrow parity x known x systems x stripes symbols:
 
 - byte symbols with rows x order <= stripes (files, few rows): each row's
-  systems look their products up through ``bytes.translate``;
+  systems look their products up term by term through ``bytes.translate``;
 - rows x order <= systems x stripes (wider symbols on files, and one stripe
-  over many distinct rows, as in the universal codes): each block of 32K
-  symbols reads its rows' tables at row x order + symbol through an index
-  that stays in cache;
+  over many distinct rows, as in the universal codes): the largest t with
+  rows x order^t <= systems x stripes sets the groups (every known helper
+  sum of a universal code's round-1 solve in one, one coordinate a group in
+  a GF(2^16) file chunk), and each block of 32K symbols reads one table per
+  unknown and group at row x order^t + digits, through an index that stays
+  in cache;
 - otherwise (a wide field over few systems, where tables would cost more
   than the products): ``Field.mul`` on each term's gathered coefficients.
 """
@@ -110,7 +116,7 @@ class _RowGroups:
     def map_for(self, parity: int, known_pos: np.ndarray, unknown_pos: np.ndarray) -> list:
         """[maps, tables]: maps[u] with unknowns = maps[u] @ knowns on
         distinct row u, shape (rows, parity, len(known_pos)), and its product
-        tables once a path has built them."""
+        tables by group size once a path has built them."""
         key = (parity, tuple(known_pos.tolist()))
         if key not in self.maps:
             field, rows = self.field, self.rows
@@ -123,15 +129,27 @@ class _RowGroups:
             mats = np.broadcast_to(pw[:, None][..., unknown_pos], (nrows, nknown, parity, parity))
             rhs = field.neg(pw[:, :, known_pos]).transpose(0, 2, 1)
             sol = solve_batched(field, mats.reshape(-1, parity, parity), rhs.reshape(-1, parity))
-            self.maps.setdefault(key, [sol.reshape(nrows, nknown, parity).transpose(0, 2, 1), None])
+            self.maps.setdefault(key, [sol.reshape(nrows, nknown, parity).transpose(0, 2, 1), {}])
         return self.maps[key]
 
-    def _tables(self, entry: list) -> np.ndarray:
-        """The map's product tables, shape (parity, known, rows, order): term
-        (i, j) of distinct row u reads tables[i, j, u, v] = maps[u, i, j]·v."""
-        if entry[1] is None:  # threads that race build equal tables; either serves
-            entry[1] = self.field.scale_table(entry[0].transpose(1, 2, 0))
-        return entry[1]
+    def _tables(self, entry: list, group: int) -> list:
+        """The map's joint product tables for its known coordinates taken
+        ``group`` at a time: one per group of t consecutive coordinates
+        j_1..j_t (the last may be shorter), shape (parity, rows, order^t),
+        where tables[g][i, u, Σ v_m·order^(t-m)] = Σ_m maps[u, i, j_m]·v_m.
+        Group size 1 keeps the per-term ``scale_table`` rows themselves."""
+        tables = entry[1].get(group)
+        if tables is None:  # threads that race build equal tables; either serves
+            terms = self.field.scale_table(entry[0].transpose(1, 2, 0))
+            parity, nknown, nrows = terms.shape[:3]
+            tables = []
+            for lo in range(0, nknown, group):
+                joint = terms[:, lo]  # a view at group size 1
+                for j in range(lo + 1, min(lo + group, nknown)):
+                    joint = self.field.add(joint[..., None], terms[:, j, :, None]).reshape(parity, nrows, -1)
+                tables.append(joint)
+            entry[1][group] = tables
+        return tables
 
     def complete(self, parity: int, known_pos: Sequence[int], known_vals: np.ndarray) -> np.ndarray:
         """recover_batched on the grouped points matrix."""
@@ -159,25 +177,33 @@ class _RowGroups:
             if cells <= stripes and self.field.symbol_dtype == np.uint8:
                 self._apply_by_lookup(entry, vals, out)
             elif cells <= nsys * stripes:
-                self._apply_by_gather(entry, vals, out)
+                # the largest group of knowns whose joint tables are no larger either
+                group = 1
+                while group < nknown and cells * self.field.order**group <= nsys * stripes:
+                    group += 1
+                self._apply_by_gather(entry, vals, out, group)
             else:
                 self._apply_by_multiply(entry[0], vals, out)
         out = out.transpose(2, 0, 1)
         return out if known_vals.ndim == 3 else out[:, :, 0]
 
-    def _apply_by_gather(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
-        parity, nknown = entry[0].shape[1:]
-        tables = self._tables(entry).reshape(parity, nknown, -1)
-        step = max(1, (1 << 15) // vals.shape[2])  # blocks whose intp indices stay in cache
+    def _apply_by_gather(self, entry: list, vals: np.ndarray, out: np.ndarray, group: int) -> None:
+        order = self.field.order
+        tables = [joint.reshape(len(joint), -1) for joint in self._tables(entry, group)]
+        step = max(1, (1 << 15) // vals.shape[2])  # blocks whose indices stay in cache
         for lo in range(0, len(vals), step):
-            # row u's tables start at u·order; a native index gathers fastest
-            base = self.inverse[lo : lo + step, None].astype(np.intp) * self.field.order
-            accs = [None] * parity
-            for j in range(nknown):
-                index = base + vals[lo : lo + step, j]  # shared by every unknown
-                for i in range(parity):
-                    term = tables[i, j][index]
-                    accs[i] = term if j == 0 else self.field.add(accs[i], term)
+            # row u's joint tables start at u·order^t; a native index gathers fastest
+            base = self.inverse[lo : lo + step, None].astype(np.intp) * order
+            accs = [None] * len(out)
+            for g, joint in enumerate(tables):
+                digits = range(g * group, min((g + 1) * group, vals.shape[1]))
+                index = base + vals[lo : lo + step, digits[0]]
+                for j in digits[1:]:  # Horner over the rest of the group
+                    index *= order
+                    index += vals[lo : lo + step, j]
+                for i, rows in enumerate(joint):  # one index serves every unknown
+                    term = rows[index]
+                    accs[i] = term if g == 0 else self.field.add(accs[i], term)
             for i, acc in enumerate(accs):
                 out[i][:, lo : lo + step] = acc.T
 
@@ -193,17 +219,17 @@ class _RowGroups:
     def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
         """Byte symbols: one C pass of bytes.translate per term, several times
         faster than a gather (no symbol reaches the zero pad)."""
-        tables = self._tables(entry)
+        tables = self._tables(entry, 1)
         for u in range(len(self.rows)):
             sel = np.flatnonzero(self.inverse == u)
             if sel[-1] - sel[0] + 1 == len(sel):
                 sel = slice(sel[0], sel[-1] + 1)  # consecutive systems: views, no copies
             x = vals[sel]
-            accs = [None] * len(tables)
-            for j in range(x.shape[1]):
+            accs = [None] * len(out)
+            for j, table in enumerate(tables):
                 index = x[:, j].tobytes()
-                for i, rows in enumerate(tables):
-                    term = np.frombuffer(index.translate(rows[j, u].tobytes().ljust(256, b"\0")), np.uint8)
+                for i in range(len(out)):
+                    term = np.frombuffer(index.translate(table[i, u].tobytes().ljust(256, b"\0")), np.uint8)
                     accs[i] = term if j == 0 else self.field.add(accs[i], term)
             for i, acc in enumerate(accs):
                 out[i][:, sel] = acc.reshape(len(x), -1).T

@@ -879,13 +879,15 @@ def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp
     outdir = tmp_path / "shards"
     argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
     assert main(argv) == EXIT_OK
-    assert taken == [("lookup", 3, 3, 87_381), ("lookup", 3, 3, 87_382)]
+    assert taken == [("lookup", 3, 3, 87_381, 1), ("lookup", 3, 3, 87_382, 1)]
     taken.clear()
     assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
-    assert taken == [("lookup", 1, 1, 87_381)] * 2 + [("lookup", 1, 1, 87_382)] * 2
+    assert taken == [("lookup", 1, 1, 87_381, 1)] * 2 + [("lookup", 1, 1, 87_382, 1)] * 2
 
     # cluster_universal: universal_code(4,1), one stripe over many rows, read
-    # through product tables; no multiply touches a per-system array
+    # through product tables; no multiply touches a per-system array.  Its
+    # encode knows one coordinate; each round-1 solve reads its d = 2 helper
+    # sums through one joint table (162 x 13^2 entries against 314,928 systems)
     sizes = []
     mul = Field.mul
 
@@ -900,7 +902,7 @@ def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp
     cw = codec.encode_systematic(spec, data)
     ctx = repair.RepairContext((1, 3), (2, 4))
     restored, _ = repair.repair_columns(spec, ctx, {j: cw.column(j) for j in ctx.helpers})
-    assert taken == [("gather", 81, 944_784, 1)] + [("gather", 162, 314_928, 1)] * 2
+    assert taken == [("gather", 81, 944_784, 1, 1)] + [("gather", 162, 314_928, 1, ctx.d)] * 2
     assert sizes and max(sizes) < 314_928
     assert all(np.array_equal(restored[i], cw.column(i)) for i in ctx.failed)
 
@@ -914,7 +916,7 @@ def test_no_chunk_of_a_wide_field_file_takes_the_multiply_path(tmp_path, monkeyp
     outdir = tmp_path / "shards"
     argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
     assert main(argv + ["--field", "65536"]) == EXIT_OK
-    assert taken == [("gather", 3, 3, 116_508)] + [("gather", 3, 3, 116_509)] * 2
+    assert taken == [("gather", 3, 3, 116_508, 1)] + [("gather", 3, 3, 116_509, 1)] * 2
     assert main(["verify", str(outdir)]) == EXIT_OK
     for name in ("shard_001.cmds", "shard_002.cmds"):
         (outdir / name).unlink()
@@ -923,7 +925,9 @@ def test_no_chunk_of_a_wide_field_file_takes_the_multiply_path(tmp_path, monkeyp
     assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
     # encode and verify 3 calls each, decode 3, repair 2 rounds x 3 chunks
     assert len(taken) == 15 and {path for path, *_ in taken} == {"gather"}
-    assert {stripes for *_, stripes in taken} == {116_508, 116_509}
+    # 3 x 65,536^2 joint entries would pass the stripes: one coordinate a read
+    assert {stripes for *_, stripes, _ in taken} == {116_508, 116_509}
+    assert {group for *_, group in taken} == {1}
 
 
 # ---- chunks of stripes ---------------------------------------------------------

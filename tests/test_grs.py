@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopmds.codespec import make_code
 from coopmds.field import make_field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
 from lib_helpers import (
@@ -22,6 +26,19 @@ from oracles import complete_by_elimination, dual_vandermonde_codewords
 # primes (GF(251) sums wrap a uint8, GF(65521) products a uint16) and both
 # binary widths
 NARROW_FIELDS = [("prime", 13), ("prime", 251), ("prime", 65521), ("binary", 8), ("binary", 16)]
+
+
+def complete_row_by_row(f, points, parity: int, known_pos, vals: np.ndarray) -> np.ndarray:
+    """complete_by_elimination on (systems, known, stripes) symbols, taking
+    the systems of one distinct row, which share its map, as the stripes of
+    one system: one elimination per row rather than per system."""
+    distinct, which = np.unique(points, axis=0, return_inverse=True)
+    out = np.empty((len(points), parity, vals.shape[2]), dtype=np.int64)
+    for u, row in enumerate(distinct):
+        sel = np.flatnonzero(which.reshape(-1) == u)
+        got = complete_by_elimination(f, row[None], parity, known_pos, np.moveaxis(vals[sel], 0, -1)[None])
+        out[sel] = np.moveaxis(got[0], -1, 0)
+    return out
 
 
 def test_solve_single_point():
@@ -298,7 +315,7 @@ def test_a_stray_symbol_raises_on_the_lookup_path(monkeypatch):
     vals = np.ones((1, 2, 13), dtype=np.uint8)
     taken = spy_completion_paths(monkeypatch)
     good = groups.complete(2, [0, 1], vals)
-    assert taken == [("lookup", 1, 1, 13)]
+    assert taken == [("lookup", 1, 1, 13, 1)]
     for stray, dtype in ((14, np.uint8), (13, np.uint8), (-1, np.int64)):
         bad = vals.astype(dtype)
         bad[0, 1, 7] = stray
@@ -307,21 +324,28 @@ def test_a_stray_symbol_raises_on_the_lookup_path(monkeypatch):
     assert np.array_equal(groups.complete(2, [0, 1], vals), good)
 
 
-@pytest.mark.parametrize("spec", [("binary", 8), ("binary", 16)])
-def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec):
+@pytest.mark.parametrize("spec", [("binary", 8), ("binary", 16), ("prime", 13)])
+def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec, monkeypatch):
     import sys
     import threading
 
     f = make_field(*spec)
     rng = np.random.default_rng(53)
-    points = np.stack([rng.choice(f.order, size=4, replace=False) for _ in range(2)])[[0, 1, 0]]
-    vals = rng.integers(0, f.order, size=(3, 2, 2 * f.order), dtype=f.symbol_dtype)
+    # the binary fields read per-term rows (lookup, gather); GF(13) over 400
+    # systems of one stripe reads both knowns through one joint table
+    # (2 x 13^2 entries), as a round-1 solve of the universal codes does
+    systems, stripes = (400, 1) if f.order == 13 else (3, 2 * f.order)
+    points = np.stack([rng.choice(f.order, size=4, replace=False) for _ in range(2)])[np.arange(systems) % 2]
+    vals = rng.integers(0, f.order, size=(systems, 2, stripes), dtype=f.symbol_dtype)
     expect = complete_by_elimination(f, points, 2, [1, 3], vals)
     groups = _RowGroups(f, points)
+    taken = spy_completion_paths(monkeypatch)
     errors = []
+    start = threading.Barrier(8)  # every thread finds the tables unbuilt
 
     def work():
         try:
+            start.wait(timeout=60)
             if not np.array_equal(groups.complete(2, [1, 3], vals), expect):
                 errors.append("wrong completion")
         except Exception as exc:  # reported below
@@ -340,6 +364,8 @@ def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(groups.maps) == 1
+    assert len(taken) == 8 and len(set(taken)) == 1
+    assert taken[0][4] == (2 if f.order == 13 else 1)
 
 
 @pytest.mark.parametrize("stripes", [1, 12])
@@ -352,14 +378,7 @@ def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, s
     known_pos, parity = [0, 2, 3], 2
     vals = rng.integers(0, f.order, size=(len(points), len(known_pos), stripes))
     vals[:3] = f.order - 1  # the top of the field, where narrow sums wrap
-    # the systems of one row share its map, so the oracle completes each
-    # row's systems as the stripes of one system
-    expect = np.empty((len(points), parity, stripes), dtype=np.int64)
-    for u, row in enumerate(distinct):
-        sel = np.flatnonzero((points == row).all(axis=1))
-        as_stripes = np.moveaxis(vals[sel], 0, -1)[None]
-        got = complete_by_elimination(f, row[None], parity, known_pos, as_stripes)
-        expect[sel] = np.moveaxis(got[0], -1, 0)
+    expect = complete_row_by_row(f, points, parity, known_pos, vals)
     groups = _RowGroups(f, points)
     taken = spy_completion_paths(monkeypatch)
     for dtype in (np.uint8, np.uint16, np.int64):
@@ -377,22 +396,114 @@ def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, s
     # whose tables fit take the gather path
     wide = f.symbol_dtype != np.uint8
     assert {t[0] for t in taken} == {"gather" if wide and path == "lookup" else path}
-    assert len(groups.maps) == 1 and (groups.maps[(parity, (0, 2, 3))][1] is None) == (path == "multiply")
+    assert len(groups.maps) == 1 and (not groups.maps[(parity, (0, 2, 3))][1]) == (path == "multiply")
 
 
-@pytest.mark.parametrize("spec", [("prime", 13), ("binary", 8)], ids=["prime-13", "binary-8"])
-def test_the_gather_path_in_blocks_matches_the_multiply_path(spec, monkeypatch):
-    f = make_field(*spec)
-    rng = np.random.default_rng(f.order)
-    distinct = np.unique([rng.choice(f.order, size=4, replace=False) for _ in range(120)], axis=0)
-    points = distinct[rng.integers(0, len(distinct), size=1000)]
+# (field, points a row, known positions, distinct rows, systems, stripes,
+# group size): the largest t with rows x order^t <= systems x stripes
+GATHER_CASES = {
     # 700 stripes make blocks of 46 systems: 21 whole ones and a ragged end
-    vals = rng.integers(0, f.order, size=(len(points), 2, 700)).astype(f.symbol_dtype)
+    "prime-13": (("prime", 13), 4, [1, 3], 120, 1000, 700, 2),
+    "binary-8": (("binary", 8), 4, [1, 3], 120, 1000, 700, 1),
+    "prime-13-t1": (("prime", 13), 4, [1, 3], 40, 1000, 1, 1),
+    "prime-13-t2": (("prime", 13), 4, [1, 3], 1, 1000, 1, 2),  # one row
+    "prime-13-t2-rows": (("prime", 13), 4, [1, 3], 5, 1000, 1, 2),
+    "prime-13-t3": (("prime", 13), 5, [0, 2, 4], 2, 5000, 1, 3),
+    "prime-13-t3-700": (("prime", 13), 5, [4, 0, 2], 120, 1000, 700, 3),
+    "prime-13-ragged": (("prime", 13), 5, [0, 2, 3], 5, 1000, 1, 2),
+    "binary-8-t1": (("binary", 8), 4, [1, 3], 3, 1000, 1, 1),
+    "binary-8-t2": (("binary", 8), 4, [3, 1], 1, 1 << 16, 1, 2),
+    "binary-8-ragged-700": (("binary", 8), 5, [0, 2, 3], 4, 400, 700, 2),
+}
+
+
+@pytest.mark.parametrize("case", GATHER_CASES.values(), ids=GATHER_CASES.keys())
+def test_the_gather_path_in_blocks_matches_the_multiply_path(case, monkeypatch):
+    spec, npts, known_pos, nrows, nsys, stripes, group = case
+    f = make_field(*spec)
+    rng = np.random.default_rng(f.order + nsys + stripes)
+    distinct = np.unique([rng.choice(f.order, size=npts, replace=False) for _ in range(nrows)], axis=0)
+    which = rng.permutation(nsys) % len(distinct)
+    points = distinct[which]
+    vals = rng.integers(0, f.order, size=(nsys, len(known_pos), stripes)).astype(f.symbol_dtype)
+    # the top of the field, where narrow sums wrap; on half the last row's
+    # systems every joint table is read at its last entry, rows x order^t - 1
+    top = (which == len(distinct) - 1) & (np.arange(nsys) % 2 == 0)
+    vals[::5] = vals[top] = f.order - 1
     groups = _RowGroups(f, points)
     taken = spy_completion_paths(monkeypatch)
-    got = groups.complete(2, [1, 3], vals)
-    assert [t[0] for t in taken] == ["gather"]
-    maps = groups.map_for(2, np.array([1, 3]), np.array([0, 2]))[0]
-    expect = np.empty((2, 700, len(points)), dtype=f.symbol_dtype)
+    parity = npts - len(known_pos)
+    got = groups.complete(parity, known_pos, vals)
+    assert taken == [("gather", len(distinct), nsys, stripes, group)]
+    unknown_pos = np.setdiff1d(np.arange(npts), known_pos)
+    maps = groups.map_for(parity, np.array(known_pos), unknown_pos)[0]
+    expect = np.empty((parity, stripes, nsys), dtype=f.symbol_dtype)
     groups._apply_by_multiply(maps, vals, expect)
     assert np.array_equal(got, expect.transpose(2, 0, 1))
+    assert np.array_equal(got, complete_row_by_row(f, points, parity, known_pos, vals))
+
+
+def test_a_wide_field_file_chunk_keeps_one_product_table_per_term(monkeypatch):
+    """A (5,2,2,3) GF(2^16) encode chunk reads one known coordinate at a
+    time, and its tables are the scale_table rows themselves: parity x known
+    x rows x order symbols, every group's table a view of one array."""
+    f = make_field("binary", 16)
+    spec = make_code("fixed_subset", 5, 2, 2, 3, f)
+    p = spec.params
+    groups = _RowGroups(f, spec.coeff_matrix())
+    vals = np.random.default_rng(16).integers(0, f.order, size=(p.l, p.k, 116_508), dtype=np.uint16)
+    taken = spy_completion_paths(monkeypatch)
+    got = groups.complete(p.r, np.arange(p.k), vals)
+    assert taken == [("gather", 3, p.l, 116_508, 1)]
+    ((maps, by_group),) = groups.maps.values()
+    (tables,) = by_group.values()
+    owner = tables[0].base
+    assert len(tables) == p.k and all(t.base is owner for t in tables)
+    assert owner.size == sum(t.size for t in tables) == p.r * p.k * 3 * f.order
+    expect = np.empty((p.r, 116_508, p.l), dtype=f.symbol_dtype)
+    groups._apply_by_multiply(maps, vals, expect)
+    assert np.array_equal(got, expect.transpose(2, 0, 1))
+
+
+# ---- properties ----------------------------------------------------------------
+
+PROPERTY_FIELDS = {spec: make_field(*spec) for spec in [("prime", 13), ("prime", 251), ("binary", 8)]}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    spec=st.sampled_from(list(PROPERTY_FIELDS)),
+    npts=st.integers(2, 6),
+    nrows=st.integers(1, 4),
+    nsys=st.integers(1, 40),
+    stripes=st.integers(1, 5),
+    data=st.data(),
+)
+def test_recover_batched_matches_the_oracle_on_drawn_inputs(spec, npts, nrows, nsys, stripes, data):
+    """Any field, point rows (drawn from a few distinct ones, so that rows
+    repeat), parity, known positions in any order and stripes: recover_batched
+    gives the elimination oracle's symbols, and so does every kernel forced
+    onto the same inputs, the gather path at every group size whose joint
+    tables stay small, whatever path the shape would choose."""
+    f = PROPERTY_FIELDS[spec]
+    parity = data.draw(st.integers(1, npts - 1), label="parity")
+    known_pos = data.draw(st.permutations(range(npts)), label="order")[: npts - parity]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    distinct = np.stack([rng.choice(f.order, size=npts, replace=False) for _ in range(nrows)])
+    points = distinct[rng.integers(0, nrows, size=nsys)]
+    vals = rng.integers(0, f.order, size=(nsys, len(known_pos), stripes))
+    vals[rng.random(vals.shape) < data.draw(st.sampled_from([0, 0.5, 1]), label="top")] = f.order - 1
+    expect = complete_by_elimination(f, points, parity, known_pos, vals)
+    got = recover_batched(f, points, parity, known_pos, vals)
+    assert got.dtype == f.symbol_dtype
+    assert np.array_equal(got, expect)
+    groups = _RowGroups(f, points)
+    entry = groups.map_for(parity, np.array(known_pos), np.setdiff1d(np.arange(npts), known_pos))
+    kernels = [partial(groups._apply_by_lookup, entry), partial(groups._apply_by_multiply, entry[0])]
+    for group in range(1, len(known_pos) + 1):
+        if len(groups.rows) * f.order**group <= 1 << 18:
+            kernels.append(partial(groups._apply_by_gather, entry, group=group))
+    for kernel in kernels:
+        out = np.empty((parity, stripes, nsys), dtype=f.symbol_dtype)
+        kernel(vals.astype(f.symbol_dtype), out)
+        assert np.array_equal(out.transpose(2, 0, 1), expect), kernel

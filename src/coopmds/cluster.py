@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -142,6 +141,8 @@ def run_scenario(config: ClusterConfig, *, workers: int = 1) -> SimulationReport
     events re-check all parities.  Raises on inadmissible events (dead
     helpers, nothing to repair, more failures than parities).
     """
+    if workers > 1:  # imported here, as it loads logging, which nothing else needs
+        from concurrent.futures import ThreadPoolExecutor
     spec = config.spec
     p = spec.params
     rng = np.random.default_rng(config.seed)

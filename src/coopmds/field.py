@@ -288,21 +288,28 @@ class Field:
 
     def scale_table(self, c) -> np.ndarray:
         """The read-only rows x -> c·x for x = 0..order-1 of the constants c,
-        shape ``c.shape + (order,)`` in ``symbol_dtype``, for per-constant
-        lookups (Plank, Greenan and Miller, FAST 2013).  A row has exactly
-        ``order`` entries, so looking up a symbol outside the field raises
-        IndexError instead of reading another product.
+        packed: entry x of a row holds the products of the last axis's
+        constants side by side, shape ``c.shape[:-1] + (order, c.shape[-1])``
+        in ``symbol_dtype`` (a single constant gives shape ``(order,)``), for
+        per-constant lookups (Plank, Greenan and Miller, FAST 2013).  A row
+        has exactly ``order`` entries, so looking up a symbol outside the
+        field raises IndexError instead of reading another product.  Binary
+        rows are built by doubling, w XOR passes over whole entries.
         """
         c = np.asarray(c)
         if c.size and (c.min() < 0 or c.max() >= self.order):
             raise ValueError(f"{c} is not an element of {self!r}")
-        if self._product is not None or self.spec.kind == "prime":
-            rows = self.mul(c[..., None], np.arange(self.order))
-        else:  # c·x = exp[log c + log x]: exp from log c on, read at the logs
-            rows = np.empty(c.shape + (self.order,), self.symbol_dtype)
-            log = self._log.astype(np.intp)  # no temporary bigger than this
-            for row, lc in zip(rows.reshape(-1, self.order), self._log[c].ravel()):
-                np.take(self._exp[lc:], log, out=row)
+        if c.ndim == 0:
+            return self.scale_table(c[None])[:, 0]
+        if self.spec.kind == "prime":
+            rows = self.mul(c[..., None, :], np.arange(self.order)[:, None])
+        else:  # c·(x + 2^b) = c·x + c·2^b for x < 2^b, on words of up to 8 bytes
+            rows = np.zeros(c.shape[:-1] + (self.order,) + c.shape[-1:], self.symbol_dtype)
+            size = rows.itemsize * c.shape[-1]
+            words = rows.view(f"u{min(size & -size, 8) or 1}")  # whole words; bytes if no lanes
+            bits = np.left_shift(1, np.arange(self._w)).reshape((-1,) + (1,) * c.ndim)
+            for b, image in enumerate(self.mul(c, bits).view(words.dtype)):  # c·2^b
+                np.bitwise_xor(words[..., : 1 << b, :], image[..., None, :], out=words[..., 1 << b : 2 << b, :])
         rows.setflags(write=False)
         return rows
 

@@ -18,23 +18,26 @@ pattern rather than once per call or stripe.
 
 Known symbols enter through ``Field.as_symbols``, which range-checks them,
 and every step keeps them in the field's ``symbol_dtype``.  A map keeps
-joint product tables for groups of t consecutive known coordinates: unknown
-i's table on distinct row u holds sum_m c_ij_m·v_m at the index whose
-base-order digits are v_1..v_t, an outer ``Field.add`` of the per-term
-``Field.scale_table`` rows, which are themselves the tables at t = 1.
-Terms, or groups of them, are summed by ``Field.add`` on one of three
-paths, chosen by shape alone so that the tables kept with a map never
-outgrow parity x known x systems x stripes symbols:
+packed joint product tables for groups of t consecutive known coordinates:
+on distinct row u, the entry whose base-order digits are v_t..v_1 holds
+sum_m c_ij_m·v_m for every unknown i side by side in W lanes (W the next
+power of two from parity, the pad lanes zero): at t = 1 the per-term
+``Field.scale_table`` rows, extended a digit at a time by ``Field.add`` for
+larger t.  Terms, or groups of them, are summed on one of three paths,
+chosen by shape alone so that the tables kept with a map never outgrow
+W x known x systems x stripes symbols:
 
 - byte symbols with rows x order <= stripes (files, few rows): each row's
-  systems look their products up term by term through ``bytes.translate``;
+  systems look their products up term by term and lane by lane through
+  ``bytes.translate``;
 - rows x order <= systems x stripes (wider symbols on files, and one stripe
   over many distinct rows, as in the universal codes): the largest t with
-  rows x order^t <= systems x stripes sets the groups (every known helper
-  sum of a universal code's round-1 solve in one, one coordinate a group in
-  a GF(2^16) file chunk), and each block of 32K symbols reads one table per
-  unknown and group at row x order^t + digits, through an index that stays
-  in cache;
+  rows x order^t <= systems x stripes entries sets the groups (every known
+  helper sum of a universal code's round-1 solve in one, one coordinate a
+  group in a GF(2^16) file chunk), and each block of 32K symbols reads every
+  unknown of a group with one gather at row x order^t + digits (a word of
+  up to 8 bytes, or a row of them), through an index that stays in cache,
+  and sums groups by XOR on words (binary) or ``Field.add`` (prime);
 - otherwise (a wide field over few systems, where tables would cost more
   than the products): ``Field.mul`` on each term's gathered coefficients.
 """
@@ -133,21 +136,27 @@ class _RowGroups:
         return self.maps[key]
 
     def _tables(self, entry: list, group: int) -> list:
-        """The map's joint product tables for its known coordinates taken
-        ``group`` at a time: one per group of t consecutive coordinates
-        j_1..j_t (the last may be shorter), shape (parity, rows, order^t),
-        where tables[g][i, u, Σ v_m·order^(t-m)] = Σ_m maps[u, i, j_m]·v_m.
-        Group size 1 keeps the per-term ``scale_table`` rows themselves."""
+        """The map's packed tables for its known coordinates taken ``group``
+        at a time, in one allocation: one per group of t consecutive j_1..j_t
+        (the last may be shorter), shape (rows, order^t, lanes), where
+        tables[g][u, Σ v_m·order^(m-1), i] = Σ_m maps[u, i, j_m]·v_m."""
         tables = entry[1].get(group)
         if tables is None:  # threads that race build equal tables; either serves
-            terms = self.field.scale_table(entry[0].transpose(1, 2, 0))
-            parity, nknown, nrows = terms.shape[:3]
-            tables = []
-            for lo in range(0, nknown, group):
-                joint = terms[:, lo]  # a view at group size 1
-                for j in range(lo + 1, min(lo + group, nknown)):
-                    joint = self.field.add(joint[..., None], terms[:, j, :, None]).reshape(parity, nrows, -1)
-                tables.append(joint)
+            (nrows, parity, nknown), field, order = entry[0].shape, self.field, self.field.order
+            lanes = 1 << (parity - 1).bit_length()
+            consts = np.zeros((nknown, nrows, lanes), field.symbol_dtype)
+            consts[..., :parity] = entry[0].transpose(2, 0, 1)
+            terms = tables = list(field.scale_table(consts))
+            if group > 1:  # digit m extends a joint table order^m entries at a time
+                spans = [range(lo, min(lo + group, nknown)) for lo in range(0, nknown, group)]
+                ends = np.cumsum([order ** len(js) * nrows * lanes for js in spans])
+                packed = np.split(np.empty(ends[-1], consts.dtype), ends[:-1])  # one allocation
+                tables = [flat.reshape(nrows, -1, lanes) for flat in packed]
+                for joint, js in zip(tables, spans):
+                    joint[:, :order] = terms[js[0]]
+                    for m, j in enumerate(js[1:], 1):
+                        sums = field.add(joint[:, None, : order**m], terms[j][:, 1:, None])
+                        joint[:, order**m : order ** (m + 1)] = sums.reshape(nrows, -1, lanes)
             entry[1][group] = tables
         return tables
 
@@ -173,11 +182,11 @@ class _RowGroups:
         out = np.empty((parity, stripes, nsys), dtype=vals.dtype)
         if parity:
             entry = self.map_for(parity, known_pos, unknown_pos)
-            cells = len(self.rows) * self.field.order  # in one term's tables
+            cells = len(self.rows) * self.field.order  # entries of W lanes in one term's tables
             if cells <= stripes and self.field.symbol_dtype == np.uint8:
                 self._apply_by_lookup(entry, vals, out)
             elif cells <= nsys * stripes:
-                # the largest group of knowns whose joint tables are no larger either
+                # the largest group of knowns whose joint tables have no more entries either
                 group = 1
                 while group < nknown and cells * self.field.order**group <= nsys * stripes:
                     group += 1
@@ -188,24 +197,32 @@ class _RowGroups:
         return out if known_vals.ndim == 3 else out[:, :, 0]
 
     def _apply_by_gather(self, entry: list, vals: np.ndarray, out: np.ndarray, group: int) -> None:
-        order = self.field.order
-        tables = [joint.reshape(len(joint), -1) for joint in self._tables(entry, group)]
-        step = max(1, (1 << 15) // vals.shape[2])  # blocks whose indices stay in cache
+        field, sym, (nknown, stripes) = self.field, self.field.symbol_dtype, vals.shape[1:]
+        tables = self._tables(entry, group)
+        size = tables[0].shape[2] * sym.itemsize
+        # an entry is one word up to 8 bytes (one gather reads every unknown),
+        # else a row of 8-byte words
+        words = [t.view(f"u{min(size, 8)}").reshape((-1, size // 8) if size > 8 else -1) for t in tables]
+        step = max(1, (1 << 15) // stripes)  # blocks whose indices stay in cache
         for lo in range(0, len(vals), step):
             # row u's joint tables start at u·order^t; a native index gathers fastest
-            base = self.inverse[lo : lo + step, None].astype(np.intp) * order
-            accs = [None] * len(out)
-            for g, joint in enumerate(tables):
-                digits = range(g * group, min((g + 1) * group, vals.shape[1]))
-                index = base + vals[lo : lo + step, digits[0]]
-                for j in digits[1:]:  # Horner over the rest of the group
-                    index *= order
+            base = self.inverse[lo : lo + step, None].astype(np.intp) * field.order
+            acc = None
+            for g, table in enumerate(words):
+                digits = range(g * group, min((g + 1) * group, nknown))
+                index = base + vals[lo : lo + step, digits[-1]]
+                for j in reversed(digits[:-1]):  # Horner down to the group's first digit
+                    index *= field.order
                     index += vals[lo : lo + step, j]
-                for i, rows in enumerate(joint):  # one index serves every unknown
-                    term = rows[index]
-                    accs[i] = term if g == 0 else self.field.add(accs[i], term)
-            for i, acc in enumerate(accs):
-                out[i][:, lo : lo + step] = acc.T
+                term = np.take(table, index, axis=0)
+                if acc is None:
+                    acc = term
+                elif field.spec.kind == "binary":
+                    acc ^= term  # every lane at once
+                else:
+                    acc = field.add(acc.view(sym), term.view(sym)).view(term.dtype)
+            acc = acc.view(sym).reshape(len(acc), stripes, -1)
+            out[:, :, lo : lo + step] = acc[:, :, : len(out)].transpose(2, 1, 0)
 
     def _apply_by_multiply(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
         field, inverse = self.field, self.inverse.astype(np.intp)
@@ -229,7 +246,7 @@ class _RowGroups:
             for j, table in enumerate(tables):
                 index = x[:, j].tobytes()
                 for i in range(len(out)):
-                    term = np.frombuffer(index.translate(table[i, u].tobytes().ljust(256, b"\0")), np.uint8)
+                    term = np.frombuffer(index.translate(table[u, :, i].tobytes().ljust(256, b"\0")), np.uint8)
                     accs[i] = term if j == 0 else self.field.add(accs[i], term)
             for i, acc in enumerate(accs):
                 out[i][:, sel] = acc.reshape(len(x), -1).T

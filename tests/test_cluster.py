@@ -320,3 +320,20 @@ def test_sweep_single_failure_modes_coincide():
 def test_sweep_rejects_unknown_mode():
     with pytest.raises(ValueError):
         inject_and_sweep(fixed523(), modes=("gossip",))
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """Only run_scenario with two or more workers needs a thread pool, so a
+    fresh interpreter that imports the CLI, as every file command does,
+    loads neither concurrent.futures nor the logging it pulls in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import coopmds
+
+    env = {**os.environ, "PYTHONPATH": str(Path(coopmds.__file__).resolve().parents[1])}
+    probe = "import sys, coopmds.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -363,17 +363,41 @@ def test_scale_table_is_one_read_only_row_of_products(spec):
         assert row.dtype == (np.uint8 if f.order <= 256 else np.uint16) == f.symbol_dtype
         assert row.shape == (f.order,) and not row.flags.writeable
         assert np.array_equal(row, f.mul(c, x))
-    # an array of constants gives one row each, as a single constant does
-    cs = np.array([[0, 1], [2, f.order - 1]])
+    # the last axis of constants becomes lanes: entry x holds every lane's
+    # product side by side, each lane the row of its own constant
+    cs = np.array([[0, 1, 2], [2, f.order - 1, 0]])
     rows = f.scale_table(cs)
-    assert rows.shape == (2, 2, f.order) and rows.dtype == f.symbol_dtype
+    assert rows.shape == (2, f.order, 3) and rows.dtype == f.symbol_dtype
     assert not rows.flags.writeable
-    for c, row in zip(cs.ravel(), rows.reshape(4, -1)):
-        assert np.array_equal(row, f.scale_table(c)) and np.array_equal(row, f.mul(int(c), x))
+    for (a, b), c in np.ndenumerate(cs):
+        assert np.array_equal(rows[a, :, b], f.scale_table(c)) and np.array_equal(rows[a, :, b], f.mul(int(c), x))
+    assert f.scale_table(np.zeros((2, 0), dtype=np.int64)).shape == (2, f.order, 0)
     with pytest.raises(ValueError):
         f.scale_table(f.order)
     with pytest.raises(ValueError):
         f.scale_table(np.array([1, f.order]))
+
+
+@pytest.mark.parametrize("w", sorted(_REDUCTION_POLY))
+def test_scale_table_rows_built_by_doubling_match_carryless_reference(w):
+    """Binary rows come from c·(x + 2^b) = c·x + c·2^b, pass by pass over
+    whole entries: every constant side by side up to w = 8, sampled
+    constants above, in lane counts whose entries are words of 1 to 16
+    bytes or of no power-of-two width (3 lanes)."""
+    f = make_field("binary", w)
+    q, poly = f.order, _REDUCTION_POLY[w]
+    rng = np.random.default_rng(200 + w)
+    if w <= 8:
+        rows = f.scale_table(np.arange(q))  # (order, order): entry x, lane c
+        assert rows.tolist() == [[_clmul_reduce(c, x, poly, w) for c in range(q)] for x in range(q)]
+    xs = np.unique(np.r_[0, 1, q - 1, rng.integers(0, q, size=200)])
+    for lanes in (1, 2, 3, 4, 8):
+        consts = rng.integers(0, q, size=(2, lanes))
+        consts[0, 0], consts[-1, -1] = 0, q - 1
+        rows = f.scale_table(consts)
+        assert rows.shape == (2, q, lanes) and rows.dtype == f.symbol_dtype
+        for (a, b), c in np.ndenumerate(consts):
+            assert rows[a, xs, b].tolist() == [_clmul_reduce(int(c), int(x), poly, w) for x in xs], (lanes, c)
 
 
 def _fold(f, xs):

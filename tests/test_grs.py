@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopmds.codespec import make_code
-from coopmds.field import make_field
+from coopmds.field import Field, FieldSpec, make_field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
 from lib_helpers import (
     field_pow,
@@ -400,8 +400,20 @@ def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, s
 
 
 # (field, points a row, known positions, distinct rows, systems, stripes,
-# group size): the largest t with rows x order^t <= systems x stripes
+# group size): the largest t with rows x order^t <= systems x stripes.  An
+# entry packs the parity unknowns into the next power of two of lanes, so
+# it is a word of lanes x symbol bytes: 2 bytes in the cases without a
+# width in their name
 GATHER_CASES = {
+    "binary-8-1-byte": (("binary", 8), 3, [0, 2], 3, 1000, 1, 1),
+    "prime-13-4-bytes": (("prime", 13), 6, [1, 4], 5, 1000, 1, 2),
+    "binary-8-8-bytes": (("binary", 8), 7, [2, 5], 3, 1000, 1, 1),
+    "binary-16-4-bytes": (("binary", 16), 4, [0, 3], 1, 100, 700, 1),
+    "binary-16-8-bytes": (("binary", 16), 5, [2, 1], 1, 100, 700, 1),
+    "binary-16-16-bytes": (("binary", 16), 7, [0, 6], 1, 100, 700, 1),
+    # uint16 residues near 65521 in every lane, two groups summed by Field.add
+    "prime-65521-8-bytes": (("prime", 65521), 5, [3, 0], 1, 100, 700, 1),
+    "prime-65521-16-bytes": (("prime", 65521), 7, [1, 5], 1, 100, 700, 1),
     # 700 stripes make blocks of 46 systems: 21 whole ones and a ragged end
     "prime-13": (("prime", 13), 4, [1, 3], 120, 1000, 700, 2),
     "binary-8": (("binary", 8), 4, [1, 3], 120, 1000, 700, 1),
@@ -445,8 +457,9 @@ def test_the_gather_path_in_blocks_matches_the_multiply_path(case, monkeypatch):
 
 def test_a_wide_field_file_chunk_keeps_one_product_table_per_term(monkeypatch):
     """A (5,2,2,3) GF(2^16) encode chunk reads one known coordinate at a
-    time, and its tables are the scale_table rows themselves: parity x known
-    x rows x order symbols, every group's table a view of one array."""
+    time through the packed scale_table rows themselves: the 3 unknowns of
+    an entry side by side in 4 lanes (an 8-byte word), the pad lane zero,
+    and lanes x known x rows x order symbols in one allocation."""
     f = make_field("binary", 16)
     spec = make_code("fixed_subset", 5, 2, 2, 3, f)
     p = spec.params
@@ -459,10 +472,74 @@ def test_a_wide_field_file_chunk_keeps_one_product_table_per_term(monkeypatch):
     (tables,) = by_group.values()
     owner = tables[0].base
     assert len(tables) == p.k and all(t.base is owner for t in tables)
-    assert owner.size == sum(t.size for t in tables) == p.r * p.k * 3 * f.order
+    assert owner.size == sum(t.size for t in tables) == 4 * p.k * 3 * f.order
+    x = np.arange(f.order)
+    for j, table in enumerate(tables):
+        assert table.shape == (3, f.order, 4) and not table[:, :, 3].any()
+        for u, i in itertools.product(range(3), range(p.r)):
+            assert np.array_equal(table[u, :, i], f.mul(maps[u, i, j], x))
     expect = np.empty((p.r, 116_508, p.l), dtype=f.symbol_dtype)
     groups._apply_by_multiply(maps, vals, expect)
     assert np.array_equal(got, expect.transpose(2, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "spec, held, group",
+    [(("binary", 16), "scale_table", 1), (("prime", 13), "add", 2)],
+    ids=["rows", "joint"],
+)
+def test_a_completion_while_another_thread_is_inside_the_table_build_is_exact(spec, held, group, monkeypatch):
+    """One thread is held inside the build of a map's product tables, at the
+    step that fills them (the per-term rows at t = 1, the joint sums at
+    t = 2), while a second completes on the same map: it must not read
+    tables published before they are filled.  Both results are exact."""
+    import threading
+
+    f = Field(FieldSpec(*spec))  # a field of its own: the patch reaches no cached one
+    rng = np.random.default_rng(59)
+    # GF(13) over 400 systems of one stripe reads knowns 1 and 3 through one
+    # joint table and known 4 on its own; GF(2^16) over 2 systems of 65,536
+    # stripes reads every known coordinate on its own
+    npts, known_pos, systems, stripes = (5, [1, 3, 4], 400, 1) if f.order == 13 else (5, [1, 3], 2, 1 << 16)
+    points = np.stack([rng.choice(f.order, size=npts, replace=False) for _ in range(2)])[np.arange(systems) % 2]
+    vals = rng.integers(0, f.order, size=(systems, len(known_pos), stripes), dtype=f.symbol_dtype)
+    expect = complete_by_elimination(f, points, npts - len(known_pos), known_pos, vals)
+    groups = _RowGroups(f, points)
+    groups.map_for(npts - len(known_pos), np.array(known_pos), np.setdiff1d(np.arange(npts), known_pos))
+    taken = spy_completion_paths(monkeypatch)
+    inside, release = threading.Event(), threading.Event()
+    real, results = getattr(f, held), {}
+
+    def hold(*args):
+        if threading.current_thread().name == "first" and not inside.is_set():
+            inside.set()
+            assert release.wait(timeout=60)
+        return real(*args)
+
+    monkeypatch.setattr(f, held, hold)
+
+    def work():
+        try:
+            results[threading.current_thread().name] = groups.complete(npts - len(known_pos), known_pos, vals)
+        except Exception as exc:  # reported below
+            results[threading.current_thread().name] = exc
+
+    first = threading.Thread(target=work, name="first")
+    first.start()
+    try:
+        assert inside.wait(timeout=60)
+        second = threading.Thread(target=work, name="second")
+        second.start()
+        second.join(timeout=60)
+        assert not second.is_alive()
+    finally:
+        release.set()
+        first.join(timeout=60)
+    assert not first.is_alive()
+    for name in ("first", "second"):
+        assert isinstance(results[name], np.ndarray), results[name]
+        assert np.array_equal(results[name], expect), name
+    assert taken == [("gather", 2, systems, stripes, group)] * 2
 
 
 # ---- properties ----------------------------------------------------------------
@@ -473,7 +550,7 @@ PROPERTY_FIELDS = {spec: make_field(*spec) for spec in [("prime", 13), ("prime",
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     spec=st.sampled_from(list(PROPERTY_FIELDS)),
-    npts=st.integers(2, 6),
+    npts=st.integers(2, 7),
     nrows=st.integers(1, 4),
     nsys=st.integers(1, 40),
     stripes=st.integers(1, 5),
@@ -486,7 +563,7 @@ def test_recover_batched_matches_the_oracle_on_drawn_inputs(spec, npts, nrows, n
     onto the same inputs, the gather path at every group size whose joint
     tables stay small, whatever path the shape would choose."""
     f = PROPERTY_FIELDS[spec]
-    parity = data.draw(st.integers(1, npts - 1), label="parity")
+    parity = data.draw(st.integers(1, min(5, npts - 1)), label="parity")  # words of 1 to 8 bytes
     known_pos = data.draw(st.permutations(range(npts)), label="order")[: npts - parity]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     distinct = np.stack([rng.choice(f.order, size=npts, replace=False) for _ in range(nrows)])

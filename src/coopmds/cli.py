@@ -54,7 +54,7 @@ import numpy as np
 
 from coopmds.cluster import ClusterConfig, inject_and_sweep, run_scenario
 from coopmds.codec import decode_cells, encode_parity, parity_witness
-from coopmds.codespec import CodeSpec, InadmissibleError, card_A, make_code, min_field_order
+from coopmds.codespec import CodeSpec, InadmissibleError, _check_admissible, card_A, make_code, min_field_order
 from coopmds.field import Field, FieldSpec, smallest_field_spec
 from coopmds.repair import (
     BandwidthLedger,
@@ -212,29 +212,18 @@ def _err(message: str) -> None:
 # ---- encode ------------------------------------------------------------------
 
 
-def cmd_encode(
-    input_path: Path,
-    out_dir: Path,
-    *,
-    family: str,
-    n: int,
-    k: int,
-    h: int,
-    d: int,
-    field_order: int = 256,
-    out: "Path | None" = None,
-) -> int:
-    with open(input_path, "rb") as src:
+def cmd_encode(args: argparse.Namespace) -> int:
+    with open(args.input, "rb") as src:
         orig_len = os.fstat(src.fileno()).st_size
         if not orig_len:
             raise InadmissibleError("input file is empty")
-        spec = make_code(family, n, k, h, d, _field_from_order(field_order))
+        spec = make_code(args.family, args.n, args.k, args.h, args.d, _field_from_order(args.field))
         p = spec.params
         stripe_bytes = _disk_dtype(spec.field).itemsize * p.k * p.l
         stripes = -(-orig_len // stripe_bytes)
         buf = memoryview(np.empty(min(stripes, CHUNK_STRIPES) * stripe_bytes, np.uint8))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with _shard_writer(out_dir, range(1, p.n + 1), ShardHeader(spec, 0, stripes, orig_len, 0)) as append:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+        with _shard_writer(args.outdir, range(1, p.n + 1), ShardHeader(spec, 0, stripes, orig_len, 0)) as append:
             for lo, hi in _chunks(stripes):
                 got = src.readinto(raw := buf[: (hi - lo) * stripe_bytes])
                 raw[got:] = bytes(len(raw) - got)  # the last chunk padded to whole stripes
@@ -251,7 +240,7 @@ def cmd_encode(
             "l": p.l,
             "spec": spec.descriptor(),
         },
-        out,
+        args.out,
     )
     return EXIT_OK
 
@@ -351,18 +340,12 @@ def _chunked(shards: list) -> Iterator[list]:
 # ---- repair ------------------------------------------------------------------
 
 
-def cmd_repair(
-    shard_dir: Path,
-    fail: list[int],
-    helpers: list[int],
-    *,
-    mode: str = "cooperative",
-    out: "Path | None" = None,
-) -> int:
-    if not fail:
-        _emit({"restored": [], "mode": mode, "total": 0, "links": {}, "stripes": 0}, out)
+def cmd_repair(args: argparse.Namespace) -> int:
+    shard_dir, mode = args.sharddir, args.mode
+    if not args.fail:
+        _emit({"restored": [], "mode": mode, "total": 0, "links": {}, "stripes": 0}, args.out)
         return EXIT_OK
-    ctx = RepairContext(tuple(fail), tuple(helpers))
+    ctx = RepairContext(tuple(args.fail), tuple(args.helpers))
     shards = [shard.require() for shard in _load_shards(shard_dir, ctx.helpers)]
     reference = shards[0].header
     spec = reference.spec
@@ -378,18 +361,18 @@ def cmd_repair(
     report = transcript.to_dict()
     report["restored"] = [_shard_name(node) for node in ctx.failed]
     report["per_stripe"] = _fraction_json(Fraction(transcript.ledger.total, reference.stripes))
-    _emit(report, out)
+    _emit(report, args.out)
     return EXIT_OK
 
 
 # ---- decode ------------------------------------------------------------------
 
 
-def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> int:
+def cmd_decode(args: argparse.Namespace) -> int:
     """Rebuild the original file from the k lowest-numbered shards, once all
     check.  When that takes arithmetic, every other shard present must equal
     the column the decode implies."""
-    shards = {s.header.node: s for s in map(_Shard.require, _load_shards(shard_dir))}
+    shards = {s.header.node: s for s in map(_Shard.require, _load_shards(args.sharddir))}
     reference = next(iter(shards.values())).header
     spec = reference.spec
     p = spec.params
@@ -400,7 +383,7 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
     surplus = [] if use == list(range(1, p.k + 1)) else sorted(shards)[p.k :]
     left = reference.orig_len
     buf = np.empty((min(reference.stripes, CHUNK_STRIPES), p.l, p.k), _disk_dtype(spec.field))
-    with _writing([output]) as (fh,):
+    with _writing([args.output]) as (fh,):
         for views in _chunked([shards[i] for i in use + surplus]):
             if surplus:
                 cells = decode_cells(spec, use, np.stack(views[: p.k]).transpose(2, 0, 1))
@@ -412,17 +395,17 @@ def cmd_decode(shard_dir: Path, output: Path, *, out: "Path | None" = None) -> i
                 del cells  # freed once the next chunk's views replace these
             data = np.stack(views[: p.k], axis=2, out=buf[: len(views[0])])  # the file's layout
             left -= fh.write(memoryview(data).cast("B")[:left])
-    _emit({"output": output.name, "bytes": reference.orig_len, "nodes_used": use}, out)
+    _emit({"output": args.output.name, "bytes": reference.orig_len, "nodes_used": use}, args.out)
     return EXIT_OK
 
 
 # ---- verify ------------------------------------------------------------------
 
 
-def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     shard_reports = []
     good: dict[int, _Shard] = {}
-    for shard in _load_shards(shard_dir):
+    for shard in _load_shards(args.sharddir):
         if shard.error is None:
             shard_reports.append({"shard": shard.name, "ok": True})
             good[shard.header.node] = shard
@@ -452,16 +435,16 @@ def cmd_verify(shard_dir: Path, *, out: "Path | None" = None) -> int:
                 report["parity"] = {"ok": False, "check": witness[0], "row": witness[1]}
                 ok = False
     report["ok"] = ok
-    _emit(report, out)
+    _emit(report, args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 # ---- bound -------------------------------------------------------------------
 
 
-def cmd_bound(n: int, k: int, h: int, d: int, l: "int | None" = None) -> int:
-    if h < 1 or d < k + 1 or h + d > n:
-        raise InadmissibleError(f"no admissible repair with n={n} k={k} h={h} d={d}")
+def cmd_bound(args: argparse.Namespace) -> int:
+    n, k, h, d, l = args.n, args.k, args.h, args.d, args.l
+    _check_admissible(n, k, h, d)
     if l is None:
         l = card_A(h, d + 1 - k)
     coop = cutset_cooperative(h, d, k, l)
@@ -485,8 +468,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return start, stop
 
 
-def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = None) -> int:
-    start, stop = _parse_range(sweep)
+def cmd_bench(args: argparse.Namespace) -> int:
+    family, out = args.family, args.out
+    start, stop = _parse_range(args.sweep)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -523,10 +507,10 @@ def cmd_bench(sweep: str, *, family: str = "fixed_subset", out: "Path | None" = 
 # ---- scenario ----------------------------------------------------------------
 
 
-def cmd_scenario(config_path: Path, *, workers: int = 1, out: "Path | None" = None) -> int:
-    config = ClusterConfig.from_json(config_path.read_text())
-    report = run_scenario(config, workers=workers)
-    _emit(report.to_dict(), out)
+def cmd_scenario(args: argparse.Namespace) -> int:
+    config = ClusterConfig.from_json(args.config.read_text())
+    report = run_scenario(config, workers=args.workers)
+    _emit(report.to_dict(), args.out)
     return EXIT_OK if report.verified else EXIT_VERIFY
 
 
@@ -553,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         enc.add_argument(name, type=int, required=True)
     enc.add_argument("--field", type=int, default=256, help="field order (default GF(256))")
     enc.add_argument("--out", type=Path, help="also write the report JSON here")
+    enc.set_defaults(run=cmd_encode)
 
     rep = sub.add_parser("repair", help="rebuild failed shards from helper shards")
     rep.add_argument("sharddir", type=Path)
@@ -560,61 +545,43 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--helpers", type=_int_list, default=[], help="helper nodes, e.g. 3,4,5")
     rep.add_argument("--mode", choices=("cooperative", "centralized"), default="cooperative")
     rep.add_argument("--out", type=Path)
+    rep.set_defaults(run=cmd_repair)
 
     dec = sub.add_parser("decode", help="rebuild the original file from k shards")
     dec.add_argument("sharddir", type=Path)
     dec.add_argument("output", type=Path)
     dec.add_argument("--out", type=Path)
+    dec.set_defaults(run=cmd_decode)
 
     ver = sub.add_parser("verify", help="check shard checksums and all parities")
     ver.add_argument("sharddir", type=Path)
     ver.add_argument("--out", type=Path)
+    ver.set_defaults(run=cmd_verify)
 
     bnd = sub.add_parser("bound", help="print cut-set bandwidth bounds")
     for name in ("--n", "--k", "--h", "--d"):
         bnd.add_argument(name, type=int, required=True)
     bnd.add_argument("--l", type=int, help="subpacketization (default: fixed-subset value)")
+    bnd.set_defaults(run=cmd_bound)
 
     ben = sub.add_parser("bench", help="sweep parameters and measure repair traffic")
     ben.add_argument("--sweep", required=True, help="range of n, e.g. 5:8")
     ben.add_argument("--family", choices=("fixed_subset", "any_subset"), default="fixed_subset")
     ben.add_argument("--out", type=Path)
+    ben.set_defaults(run=cmd_bench)
 
     scn = sub.add_parser("scenario", help="run a cluster scenario file")
     scn.add_argument("config", type=Path)
     scn.add_argument("--workers", type=int, default=1)
     scn.add_argument("--out", type=Path)
+    scn.set_defaults(run=cmd_scenario)
     return ap
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "encode":
-            return cmd_encode(
-                args.input,
-                args.outdir,
-                family=args.family,
-                n=args.n,
-                k=args.k,
-                h=args.h,
-                d=args.d,
-                field_order=args.field,
-                out=args.out,
-            )
-        if args.command == "repair":
-            return cmd_repair(
-                args.sharddir, args.fail, args.helpers, mode=args.mode, out=args.out
-            )
-        if args.command == "decode":
-            return cmd_decode(args.sharddir, args.output, out=args.out)
-        if args.command == "verify":
-            return cmd_verify(args.sharddir, out=args.out)
-        if args.command == "bound":
-            return cmd_bound(args.n, args.k, args.h, args.d, args.l)
-        if args.command == "bench":
-            return cmd_bench(args.sweep, family=args.family, out=args.out)
-        return cmd_scenario(args.config, workers=args.workers, out=args.out)
+        return args.run(args)
     except (InadmissibleError, ValueError, KeyError) as exc:
         _err(str(exc))
         return EXIT_INADMISSIBLE

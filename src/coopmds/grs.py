@@ -23,21 +23,21 @@ on distinct row u, the entry whose base-order digits are v_t..v_1 holds
 sum_m c_ij_m·v_m for every unknown i side by side in W lanes (W the next
 power of two from parity, the pad lanes zero): at t = 1 the per-term
 ``Field.scale_table`` rows, extended a digit at a time by ``Field.add`` for
-larger t.  Terms, or groups of them, are summed on one of three paths,
-chosen by shape alone so that the tables kept with a map never outgrow
-W x known x systems x stripes symbols:
+larger t.  Terms are summed on one of two paths, chosen by shape alone so
+that the tables kept with a map never outgrow W x known x systems x stripes
+symbols.  Both read cells = rows x order, the entries of one term's tables:
 
-- byte symbols with rows x order <= stripes (files, few rows): each row's
-  systems look their products up term by term and lane by lane through
-  ``bytes.translate``;
-- rows x order <= systems x stripes (wider symbols on files, and one stripe
-  over many distinct rows, as in the universal codes): the largest t with
-  rows x order^t <= systems x stripes entries sets the groups (every known
-  helper sum of a universal code's round-1 solve in one, one coordinate a
-  group in a GF(2^16) file chunk), and each block of 32K symbols reads every
-  unknown of a group with one gather at row x order^t + digits (a word of
-  up to 8 bytes, or a row of them), through an index that stays in cache,
-  and sums groups by XOR on words (binary) or ``Field.add`` (prime);
+- cells <= systems x stripes (files, and one stripe over many distinct
+  rows, as in the universal codes): a gather through the tables.  Terms
+  share joint tables (t >= 2) only when cells > stripes, the largest t with
+  rows x order^t <= systems x stripes entries (every known helper sum of a
+  universal code's round-1 solve in one); a file chunk, whose stripes
+  outnumber its cells, reads each coordinate through its own rows.  A block
+  of at most max(2^15, cells) symbols of one or more systems, so that its
+  index stays in cache without splitting a system's stripes more finely
+  than its tables, reads every unknown of a group with one gather at
+  row x order^t + digits (a word of up to 8 bytes, or a row of them), and
+  groups are summed by XOR on words (binary) or ``Field.add`` (prime);
 - otherwise (a wide field over few systems, where tables would cost more
   than the products): ``Field.mul`` on each term's gathered coefficients.
 """
@@ -183,12 +183,12 @@ class _RowGroups:
         if parity:
             entry = self.map_for(parity, known_pos, unknown_pos)
             cells = len(self.rows) * self.field.order  # entries of W lanes in one term's tables
-            if cells <= stripes and self.field.symbol_dtype == np.uint8:
-                self._apply_by_lookup(entry, vals, out)
-            elif cells <= nsys * stripes:
-                # the largest group of knowns whose joint tables have no more entries either
+            if cells <= nsys * stripes:
+                # joint tables only where a term's own outnumber the stripes (on
+                # a file chunk their build, once a command, costs more than
+                # they save), and no more entries than the systems x stripes
                 group = 1
-                while group < nknown and cells * self.field.order**group <= nsys * stripes:
+                while cells > stripes and group < nknown and cells * self.field.order**group <= nsys * stripes:
                     group += 1
                 self._apply_by_gather(entry, vals, out, group)
             else:
@@ -203,26 +203,29 @@ class _RowGroups:
         # an entry is one word up to 8 bytes (one gather reads every unknown),
         # else a row of 8-byte words
         words = [t.view(f"u{min(size, 8)}").reshape((-1, size // 8) if size > 8 else -1) for t in tables]
-        step = max(1, (1 << 15) // stripes)  # blocks whose indices stay in cache
+        # blocks whose indices stay in cache, but no narrower than a term's tables
+        span = max(1 << 15, len(self.rows) * field.order)
+        step, width = max(1, span // stripes), min(stripes, span)
         for lo in range(0, len(vals), step):
             # row u's joint tables start at u·order^t; a native index gathers fastest
             base = self.inverse[lo : lo + step, None].astype(np.intp) * field.order
-            acc = None
-            for g, table in enumerate(words):
-                digits = range(g * group, min((g + 1) * group, nknown))
-                index = base + vals[lo : lo + step, digits[-1]]
-                for j in reversed(digits[:-1]):  # Horner down to the group's first digit
-                    index *= field.order
-                    index += vals[lo : lo + step, j]
-                term = np.take(table, index, axis=0)
-                if acc is None:
-                    acc = term
-                elif field.spec.kind == "binary":
-                    acc ^= term  # every lane at once
-                else:
-                    acc = field.add(acc.view(sym), term.view(sym)).view(term.dtype)
-            acc = acc.view(sym).reshape(len(acc), stripes, -1)
-            out[:, :, lo : lo + step] = acc[:, :, : len(out)].transpose(2, 1, 0)
+            for s in range(0, stripes, width):
+                block, acc = vals[lo : lo + step, :, s : s + width], None
+                for g, table in enumerate(words):
+                    digits = range(g * group, min((g + 1) * group, nknown))
+                    index = base + block[:, digits[-1]]
+                    for j in reversed(digits[:-1]):  # Horner down to the group's first digit
+                        index *= field.order
+                        index += block[:, j]
+                    term = np.take(table, index, axis=0)
+                    if acc is None:
+                        acc = term
+                    elif field.spec.kind == "binary":
+                        acc ^= term  # every lane at once
+                    else:
+                        acc = field.add(acc.view(sym), term.view(sym)).view(term.dtype)
+                acc = acc.view(sym).reshape(*index.shape, -1)
+                out[:, s : s + width, lo : lo + step] = acc[:, :, : len(out)].transpose(2, 1, 0)
 
     def _apply_by_multiply(self, maps: np.ndarray, vals: np.ndarray, out: np.ndarray) -> None:
         field, inverse = self.field, self.inverse.astype(np.intp)
@@ -232,24 +235,6 @@ class _RowGroups:
                 term = field.mul(maps[:, i, j][inverse][:, None], vals[:, j])
                 acc = term if acc is None else field.add(acc, term)
             out[i] = acc.T
-
-    def _apply_by_lookup(self, entry: list, vals: np.ndarray, out: np.ndarray) -> None:
-        """Byte symbols: one C pass of bytes.translate per term, several times
-        faster than a gather (no symbol reaches the zero pad)."""
-        tables = self._tables(entry, 1)
-        for u in range(len(self.rows)):
-            sel = np.flatnonzero(self.inverse == u)
-            if sel[-1] - sel[0] + 1 == len(sel):
-                sel = slice(sel[0], sel[-1] + 1)  # consecutive systems: views, no copies
-            x = vals[sel]
-            accs = [None] * len(out)
-            for j, table in enumerate(tables):
-                index = x[:, j].tobytes()
-                for i in range(len(out)):
-                    term = np.frombuffer(index.translate(table[u, :, i].tobytes().ljust(256, b"\0")), np.uint8)
-                    accs[i] = term if j == 0 else self.field.add(accs[i], term)
-            for i, acc in enumerate(accs):
-                out[i][:, sel] = acc.reshape(len(x), -1).T
 
 
 def recover_batched(

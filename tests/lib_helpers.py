@@ -20,16 +20,16 @@ from coopmds.grs import _RowGroups, recover_batched, solve_batched
 
 def spy_completion_paths(monkeypatch) -> list:
     """Make every _RowGroups completion record (path, distinct rows, systems,
-    stripes, group) in the returned list, path being lookup, gather or
-    multiply, and group the known coordinates one table read serves: 1 on
-    the lookup path, the joint tables' group size on the gather path, None
-    on the multiply path, which reads no tables."""
+    stripes, group) in the returned list, path being gather or multiply, and
+    group the known coordinates one table read serves: the joint tables'
+    group size on the gather path, None on the multiply path, which reads no
+    tables."""
     taken = []
-    for path in ("lookup", "gather", "multiply"):
+    for path in ("gather", "multiply"):
         method = getattr(_RowGroups, f"_apply_by_{path}")
 
         def spy(self, entry, vals, out, *group, path=path, method=method):
-            size = group[0] if group else 1 if path == "lookup" else None
+            size = group[0] if group else None
             taken.append((path, len(self.rows), len(self.inverse), vals.shape[2], size))
             return method(self, entry, vals, out, *group)
 

@@ -492,9 +492,9 @@ def test_wide_field_round_trip(tmp_path, capsys):
     assert dest.read_bytes() == src.read_bytes()
 
 
-def test_an_odd_byte_count_pads_one_byte_on_the_lookup_path(tmp_path):
+def test_an_odd_byte_count_pads_one_byte_in_a_two_byte_field(tmp_path):
     # 196,609 stripes of (5,2,2,3) over GF(2^16): enough for encode's three
-    # distinct rows to take the 65,536-entry lookup rows
+    # distinct rows to read their 65,536-entry product rows
     raw = np.random.default_rng(29).bytes(2 * 6 * 196_608 + 1)
     src = tmp_path / "odd.bin"
     src.write_bytes(raw)
@@ -524,8 +524,8 @@ def test_an_odd_byte_count_pads_one_byte_on_the_lookup_path(tmp_path):
 # SHA-256 of every shard encode writes for write_input(seed=1234), and the
 # repair report for the listed failure; any change to the arithmetic or the
 # shard layout shows up here.  Binary fields encode 1,024 bytes; prime fields
-# encode 6,144 bytes below the field's order, 1,024 stripes: enough for the
-# lookup path even over GF(251), whose narrow sums wrap past 255.
+# encode 6,144 bytes below the field's order, 1,024 stripes: more than a
+# term's product rows even over GF(251), whose narrow sums wrap past 255.
 GOLDEN = {
     ("fixed_subset", 5, 2, 2, 3, 256, "1,2", "3,4,5"): (
         {
@@ -645,6 +645,13 @@ def test_bound_fractional_values(capsys):
 
 def test_bound_inadmissible():
     assert main(["bound", "--n", "5", "--k", "2", "--h", "3", "--d", "3"]) == EXIT_INADMISSIBLE
+
+
+@pytest.mark.parametrize("k", [0, 5], ids=["k0", "kn"])
+def test_bound_rejects_what_encode_rejects(k, capsys):
+    # one admissibility rule: bound refuses the k that make_code refuses
+    assert main(["bound", "--n", "5", "--k", str(k), "--h", "1", "--d", "2"]) == EXIT_INADMISSIBLE
+    assert capsys.readouterr().err == f"error: need 1 <= k < n, got n=5 k={k}\n"
 
 
 # ---- bench ------------------------------------------------------------------
@@ -867,22 +874,23 @@ def test_file_ops_stay_within_a_few_copies_of_the_file(tmp_path):
     assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
 
 
-def test_file_shapes_take_the_lookup_path_and_universal_ones_the_gather_path(tmp_path, monkeypatch):
+def test_file_shapes_and_universal_ones_take_the_gather_path(tmp_path, monkeypatch):
     from coopmds import codec, repair
     from coopmds.codespec import universal_code
     from coopmds.field import Field
 
     taken = spy_completion_paths(monkeypatch)
     # the file_gf256 workload: 1 MiB, (5,2,2,3) over GF(2^8), 174,763 stripes
-    # in chunks of 87,381 and 87,382
+    # in chunks of 87,381 and 87,382.  The stripes outnumber a term's 3 x 256
+    # table entries, so every known coordinate is read through its own rows
     src = write_input(tmp_path, size=1 << 20, seed=37)
     outdir = tmp_path / "shards"
     argv = ["encode", str(src), str(outdir), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
     assert main(argv) == EXIT_OK
-    assert taken == [("lookup", 3, 3, 87_381, 1), ("lookup", 3, 3, 87_382, 1)]
+    assert taken == [("gather", 3, 3, 87_381, 1), ("gather", 3, 3, 87_382, 1)]
     taken.clear()
     assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_OK
-    assert taken == [("lookup", 1, 1, 87_381, 1)] * 2 + [("lookup", 1, 1, 87_382, 1)] * 2
+    assert taken == [("gather", 1, 1, 87_381, 1)] * 2 + [("gather", 1, 1, 87_382, 1)] * 2
 
     # cluster_universal: universal_code(4,1), one stripe over many rows, read
     # through product tables; no multiply touches a per-system array.  Its

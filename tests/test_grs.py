@@ -273,21 +273,23 @@ def test_grs_keeps_no_cache_of_its_own(monkeypatch):
     assert len(built) == 2
 
 
-# ---- lookup and gather paths ----------------------------------------------------
+# ---- gather and multiply paths ---------------------------------------------------
 
 
-@pytest.mark.parametrize("path", ["lookup", "gather", "multiply"])
+@pytest.mark.parametrize("shape", ["many-stripes", "gather", "multiply"])
 @pytest.mark.parametrize("spec", NARROW_FIELDS, ids=lambda spec: f"{spec[0]}-{spec[1]}")
-def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path, monkeypatch):
+def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, shape, monkeypatch):
     f = make_field(*spec)
     rng = np.random.default_rng(f.order)
     distinct = np.stack([rng.choice(f.order, size=5, replace=False) for _ in range(2)])
     # row 0's systems are consecutive (views), row 1's are not (gathers)
     points = distinct[[0, 0, 1, 0, 1]]
     groups = _RowGroups(f, points)
-    # the tables of both rows hold 2 x order entries, against stripes on
-    # the lookup path and 5 systems x stripes on the gather path
-    stripes = {"lookup": 2 * f.order + 3, "gather": f.order, "multiply": 5}[path]
+    # the tables of both rows hold 2 x order entries: no more than the
+    # stripes (a file's shape; over GF(2^16) a ragged second block of 3
+    # stripes), or only than 5 systems x stripes; more on the multiply path
+    stripes = {"many-stripes": 2 * f.order + 3, "gather": f.order, "multiply": 5}[shape]
+    path = "multiply" if shape == "multiply" else "gather"
     taken = spy_completion_paths(monkeypatch)
     known_pos = [0, 2, 3]
     vals = rng.integers(0, f.order, size=(len(points), len(known_pos), stripes))
@@ -299,13 +301,11 @@ def test_both_completion_paths_match_the_oracle_in_every_dtype(spec, path, monke
         got = groups.complete(2, known_pos, vals.astype(dtype))
         assert got.dtype == f.symbol_dtype
         assert np.array_equal(got, expect), dtype
-    # lookup through bytes.translate serves byte symbols only; wider ones
-    # whose tables fit take the gather path
-    wide = f.symbol_dtype != np.uint8
-    assert {t[0] for t in taken} == {"gather" if wide and path == "lookup" else path}
+    assert {t[0] for t in taken} == {path}
+    assert {t[4] for t in taken} == ({1} if path == "gather" else {None})
 
 
-def test_a_stray_symbol_raises_on_the_lookup_path(monkeypatch):
+def test_a_stray_symbol_raises_on_a_many_stripe_gather(monkeypatch):
     f = make_field("prime", 13)
     row = f.scale_table(5)
     assert len(row) == 13
@@ -315,7 +315,7 @@ def test_a_stray_symbol_raises_on_the_lookup_path(monkeypatch):
     vals = np.ones((1, 2, 13), dtype=np.uint8)
     taken = spy_completion_paths(monkeypatch)
     good = groups.complete(2, [0, 1], vals)
-    assert taken == [("lookup", 1, 1, 13, 1)]
+    assert taken == [("gather", 1, 1, 13, 1)]
     for stray, dtype in ((14, np.uint8), (13, np.uint8), (-1, np.int64)):
         bad = vals.astype(dtype)
         bad[0, 1, 7] = stray
@@ -331,7 +331,7 @@ def test_threads_sharing_one_grouping_build_its_lookup_rows_safely(spec, monkeyp
 
     f = make_field(*spec)
     rng = np.random.default_rng(53)
-    # the binary fields read per-term rows (lookup, gather); GF(13) over 400
+    # the binary fields read per-term rows over 2 x order stripes; GF(13) over 400
     # systems of one stripe reads both knowns through one joint table
     # (2 x 13^2 entries), as a round-1 solve of the universal codes does
     systems, stripes = (400, 1) if f.order == 13 else (3, 2 * f.order)
@@ -392,10 +392,7 @@ def test_many_row_completion_matches_the_oracle_on_tables_and_multiplies(spec, s
     # byte fields; wider fields multiply
     path = "gather" if len(distinct) * f.order <= len(points) * stripes else "multiply"
     assert path == ("gather" if f.order == 13 or (f.order <= 256 and stripes == 12) else "multiply")
-    # lookup through bytes.translate serves byte symbols only; wider ones
-    # whose tables fit take the gather path
-    wide = f.symbol_dtype != np.uint8
-    assert {t[0] for t in taken} == {"gather" if wide and path == "lookup" else path}
+    assert {t[0] for t in taken} == {path}
     assert len(groups.maps) == 1 and (not groups.maps[(parity, (0, 2, 3))][1]) == (path == "multiply")
 
 
@@ -426,6 +423,11 @@ GATHER_CASES = {
     "binary-8-t1": (("binary", 8), 4, [1, 3], 3, 1000, 1, 1),
     "binary-8-t2": (("binary", 8), 4, [3, 1], 1, 1 << 16, 1, 2),
     "binary-8-ragged-700": (("binary", 8), 5, [0, 2, 3], 4, 400, 700, 2),
+    # a file chunk's shape: stripes outnumber a term's 3 x order entries, so
+    # each known is read on its own, in blocks of 2^15 stripes of a system,
+    # 70,000 = 2 x 32,768 + a ragged 4,464
+    "binary-8-stripe-blocks": (("binary", 8), 5, [0, 2], 3, 3, 70_000, 1),
+    "prime-251-stripe-blocks": (("prime", 251), 5, [4, 1], 3, 3, 70_000, 1),
 }
 
 
@@ -442,6 +444,8 @@ def test_the_gather_path_in_blocks_matches_the_multiply_path(case, monkeypatch):
     # systems every joint table is read at its last entry, rows x order^t - 1
     top = (which == len(distinct) - 1) & (np.arange(nsys) % 2 == 0)
     vals[::5] = vals[top] = f.order - 1
+    if stripes > 1 << 15:  # every stripe block of every system, the ragged last one too
+        vals[:, :, ::3] = f.order - 1
     groups = _RowGroups(f, points)
     taken = spy_completion_paths(monkeypatch)
     parity = npts - len(known_pos)
@@ -576,7 +580,7 @@ def test_recover_batched_matches_the_oracle_on_drawn_inputs(spec, npts, nrows, n
     assert np.array_equal(got, expect)
     groups = _RowGroups(f, points)
     entry = groups.map_for(parity, np.array(known_pos), np.setdiff1d(np.arange(npts), known_pos))
-    kernels = [partial(groups._apply_by_lookup, entry), partial(groups._apply_by_multiply, entry[0])]
+    kernels = [partial(groups._apply_by_multiply, entry[0])]
     for group in range(1, len(known_pos) + 1):
         if len(groups.rows) * f.order**group <= 1 << 18:
             kernels.append(partial(groups._apply_by_gather, entry, group=group))

@@ -231,17 +231,17 @@ def test_round1_helper_payload_rejects_a_symbol_outside_the_field():
         round1_helper_payload(code, ctx, 2, 1, column)
 
 
-@pytest.mark.parametrize("path", ["gather", "lookup"])
+@pytest.mark.parametrize("shape", ["gather", "many-stripes"])
 @pytest.mark.parametrize(
     "spec,stray",
     [(("binary", 8), 300), (("prime", 13), 14), (("prime", 13), 20)],
     ids=["gf256-300", "gf13-14", "gf13-20"],
 )
-def test_recover_batched_rejects_a_symbol_outside_the_field(spec, stray, path):
+def test_recover_batched_rejects_a_symbol_outside_the_field(spec, stray, shape):
     f = make_field(*spec)
-    stripes = f.order if path == "lookup" else 1
-    assert (f.order <= stripes) == (path == "lookup")  # one row's tables against the stripes
+    # one row's tables against the stripes: fewer (a file's shape) or more
+    stripes = f.order if shape == "many-stripes" else 1
     vals = np.ones((1, 2, stripes), dtype=np.int64)
     vals[0, 0, -1] = stray
     with pytest.raises(ValueError, match=f"symbol {stray} is outside GF"):
-        recover_batched(f, [[1, 2, 3]], 1, [0, 1], vals if path == "lookup" else vals[:, :, 0])
+        recover_batched(f, [[1, 2, 3]], 1, [0, 1], vals if stripes > 1 else vals[:, :, 0])

@@ -2,17 +2,24 @@
 shards with the two-round protocol, verify checksums and parities, print
 bandwidth bounds, sweep parameters, and run cluster scenarios.
 
-Shard file layout (all integers little-endian):
+Shard file layout, format 2 (all integers little-endian):
 
     magic        4 bytes  b"CMDS"
-    version      u8       1
-    field        3 bytes  FieldSpec.to_bytes()
-    spec         var      CodeSpec.to_bytes() (includes the field again)
+    version      u8       2
+    header_crc   u32      CRC-32 of the header bytes from header_len on
+    header_len   u32      header length in bytes, magic included
+    spec_len     u16      length of the spec that follows
+    spec         var      CodeSpec.descriptor() as canonical JSON
     node         u16      1-based node index
     stripes      u32      stripe count
     orig_len     u64      byte length of the original file
-    checksum     u32      CRC-32 of the payload that follows
+    crcs         n * u32  CRC-32 of each node's payload, node 1 first
     payload      var      stripes * l symbols, stripe-major
+
+Past magic, version and header_len, no header field is read before
+header_crc checks.  Every shard of one encode carries the same crcs, so a set
+mixed from two encodes is rejected before any command uses it, and a shard
+restored by repair must match its entry.
 
 Symbols are the field's ``symbol_dtype`` in little-endian order: one byte
 when the field order is at most 256, two bytes otherwise.  A stripe holds
@@ -23,13 +30,14 @@ Symbols keep that format from read to write.  Stripes are independent
 codewords, so the file commands run over near-equal chunks of at most
 CHUNK_STRIPES stripes and memory follows the chunk, not the file: inputs
 and shards are read a chunk at a time, and each output is written chunk by
-chunk under a hidden temp name, a shard's header last with its running CRC.
+chunk under a hidden temp name, a shard's header last with the running CRCs.
 A command renames its files into place only once every chunk and check has
 passed, so a failure leaves nothing new under a final name.  Nothing is
 fsynced: the rename guards against the command failing, not power loss.
 
 Exit codes: 0 success, 2 inadmissible parameters or malformed input,
-3 verification failure (checksum, parity, or corrupt shard), 4 I/O error.
+3 verification failure (checksum, parity, corrupt shard, or shards from two
+encodes), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -66,14 +74,15 @@ from coopmds.repair import (
 )
 
 MAGIC = b"CMDS"
-VERSION = 1
+VERSION = 2
 
 EXIT_OK = 0
 EXIT_INADMISSIBLE = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 
-_TRAILER = struct.Struct("<HIQI")
+_PREFIX = struct.Struct("<4sBII")  # magic, version, header_crc, header_len
+_TRAILER = struct.Struct("<HIQ")  # node, stripes, orig_len
 
 # Most stripes a file command holds at once.  A larger file's near-equal
 # chunks hold 65,537 or more, so one GF(2^16) row's 65,536 table entries
@@ -82,7 +91,8 @@ CHUNK_STRIPES = 1 << 17
 
 
 class ShardFormatError(Exception):
-    """Shard bytes that cannot be trusted: bad magic, version, or framing."""
+    """Shard bytes that cannot be trusted: bad magic, version, checksum or
+    framing, or a shard that disagrees with the rest of its set."""
 
 
 @dataclass(frozen=True)
@@ -91,39 +101,46 @@ class ShardHeader:
     node: int
     stripes: int
     orig_len: int
-    checksum: int
+    crcs: tuple[int, ...]  # every node's payload CRC-32, node 1 first
 
     def to_bytes(self) -> bytes:
-        return b"".join(
+        spec = json.dumps(self.spec.descriptor(), sort_keys=True, separators=(",", ":")).encode()
+        body = b"".join(
             (
-                MAGIC,
-                struct.pack("<B", VERSION),
-                self.spec.fieldspec.to_bytes(),
-                self.spec.to_bytes(),
-                _TRAILER.pack(self.node, self.stripes, self.orig_len, self.checksum),
+                struct.pack("<H", len(spec)),
+                spec,
+                _TRAILER.pack(self.node, self.stripes, self.orig_len),
+                struct.pack(f"<{len(self.crcs)}I", *self.crcs),
             )
         )
+        size = _PREFIX.size + len(body)
+        return _PREFIX.pack(MAGIC, VERSION, zlib.crc32(struct.pack("<I", size) + body), size) + body
 
     @classmethod
-    def parse(cls, raw: bytes) -> tuple["ShardHeader", int]:
+    def parse(cls, raw: "bytes | mmap.mmap") -> tuple["ShardHeader", int]:
         """Split raw shard bytes into a header and the payload offset."""
         if raw[:4] != MAGIC:
             raise ShardFormatError("bad magic")
-        if len(raw) < 8:
+        if len(raw) < _PREFIX.size:
             raise ShardFormatError("truncated header")
-        if raw[4] != VERSION:
-            raise ShardFormatError(f"unsupported shard version {raw[4]}")
+        _, version, crc, size = _PREFIX.unpack_from(raw)
+        if version != VERSION:
+            raise ShardFormatError(f"unsupported shard version {version}")
+        if not _PREFIX.size <= size <= len(raw):
+            raise ShardFormatError("truncated header")
+        if zlib.crc32(raw[_PREFIX.size - 4 : size]) != crc:
+            raise ShardFormatError("header checksum mismatch")
         try:
-            fieldspec = FieldSpec.from_bytes(raw[5:8])
-            spec, off = CodeSpec.from_bytes(raw, 8)
-        except (ValueError, struct.error) as exc:
-            raise ShardFormatError(f"unreadable code spec: {exc}") from exc
-        if spec.fieldspec != fieldspec:
-            raise ShardFormatError("field descriptor disagrees with code spec")
-        if len(raw) < off + _TRAILER.size:
-            raise ShardFormatError("truncated header")
-        node, stripes, orig_len, checksum = _TRAILER.unpack_from(raw, off)
-        return cls(spec, node, stripes, orig_len, checksum), off + _TRAILER.size
+            (spec_len,) = struct.unpack_from("<H", raw, _PREFIX.size)
+            off = _PREFIX.size + 2 + spec_len
+            spec = CodeSpec.from_descriptor(json.loads(raw[off - spec_len : off]))
+            node, stripes, orig_len = _TRAILER.unpack_from(raw, off)
+            crcs = struct.unpack_from(f"<{spec.params.n}I", raw, off + _TRAILER.size)
+        except (ValueError, KeyError, TypeError, struct.error) as exc:
+            raise ShardFormatError(f"unreadable header: {exc}") from exc
+        if off + _TRAILER.size + 4 * len(crcs) != size:
+            raise ShardFormatError("header length disagrees with its fields")
+        return cls(spec, node, stripes, orig_len, crcs), size
 
 
 def _disk_dtype(field: Field) -> np.dtype:
@@ -178,23 +195,31 @@ def _writing(paths: Sequence[Path]) -> Iterator[list]:
 @contextlib.contextmanager
 def _shard_writer(shard_dir: Path, nodes: Sequence[int], like: ShardHeader) -> Iterator:
     """A function appending one chunk of the nodes' columns, each (stripes,
-    l), to their shards, whose headers are like's; each header, with its
-    payload's CRC, goes in front once the last chunk is in."""
-    crcs = [0] * len(nodes)
+    l), to their shards, whose headers are like's; the headers go in front
+    once the last chunk is in.  Their CRC list is like's, or, when like's is
+    empty (encode), the payloads' own; a payload whose CRC differs from its
+    entry raises ShardFormatError before any file is renamed into place."""
+    written = dict.fromkeys(nodes, 0)
+    n = like.spec.params.n
     with _writing([shard_dir / _shard_name(node) for node in nodes]) as files:
 
         def append(columns: Sequence[np.ndarray]) -> None:
-            for j, column in enumerate(columns):
+            for fh, node, column in zip(files, nodes, columns):
                 payload = _symbols_to_bytes(column, like.spec.field)
-                crcs[j] = zlib.crc32(payload, crcs[j])
-                files[j].write(payload)
+                written[node] = zlib.crc32(payload, written[node])
+                fh.write(payload)
 
+        size = len(dataclasses.replace(like, crcs=(0,) * n).to_bytes())  # every node's header size
         for fh in files:
-            fh.seek(len(like.to_bytes()))  # every node's header has this size
+            fh.seek(size)
         yield append
-        for fh, node, crc in zip(files, nodes, crcs):
+        crcs = like.crcs or tuple(written[node] for node in range(1, n + 1))
+        for node, crc in written.items():
+            if crc != crcs[node - 1]:
+                raise ShardFormatError(f"{_shard_name(node)}: restored payload disagrees with its CRC in the set")
+        for fh, node in zip(files, nodes):
             fh.seek(0)
-            fh.write(dataclasses.replace(like, node=node, checksum=crc).to_bytes())
+            fh.write(dataclasses.replace(like, node=node, crcs=crcs).to_bytes())
 
 
 def _emit(doc: dict, out: "Path | None") -> None:
@@ -223,7 +248,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
         stripes = -(-orig_len // stripe_bytes)
         buf = memoryview(np.empty(min(stripes, CHUNK_STRIPES) * stripe_bytes, np.uint8))
         args.outdir.mkdir(parents=True, exist_ok=True)
-        with _shard_writer(args.outdir, range(1, p.n + 1), ShardHeader(spec, 0, stripes, orig_len, 0)) as append:
+        with _shard_writer(args.outdir, range(1, p.n + 1), ShardHeader(spec, 0, stripes, orig_len, ())) as append:
             for lo, hi in _chunks(stripes):
                 got = src.readinto(raw := buf[: (hi - lo) * stripe_bytes])
                 raw[got:] = bytes(len(raw) - got)  # the last chunk padded to whole stripes
@@ -256,23 +281,24 @@ class _Shard:
     name: str
     header: "ShardHeader | None" = None
     symbols: "np.ndarray | None" = None
-    error: "ShardFormatError | InadmissibleError | None" = None
+    error: "ShardFormatError | None" = None
     mapping: "mmap.mmap | None" = None
 
     def require(self) -> "_Shard":
         """This shard, or its error raised with the file name in front."""
         if self.error is not None:
-            raise type(self.error)(f"{self.name}: {self.error}")
+            raise ShardFormatError(f"{self.name}: {self.error}")
         return self
 
 
 def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Iterator[_Shard]:
     """Map, parse and check each shard once: every file in shard_dir, or the
-    given nodes' files, one result each in file order.  Rejected: a file name
-    unlike the header node, a node outside 1..n, a bad CRC or payload size, a
-    symbol outside the field, a stripe count unfit for the length
-    (ShardFormatError), or a spec, stripe count or length unlike the first
-    good shard's (InadmissibleError).
+    given nodes' files, one result each in file order.  Rejected with a
+    ShardFormatError: a file name unlike the header node, a node outside
+    1..n, a payload unlike its own entry in the CRC list or its size, a
+    symbol outside the field, a stripe count unfit for the length, or a
+    spec, stripe count, length or CRC list unlike the first good shard's
+    (shards from two encodes).
 
     Each file is mapped read-only, checked a chunk at a time with its pages
     dropped from RSS after each, and viewed as symbols.  A shard truncated in
@@ -297,11 +323,14 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
                 raise ShardFormatError(f"claims node {header.node}")
             if not 1 <= header.node <= header.spec.params.n:
                 raise ShardFormatError(f"claims node {header.node} outside the code")
+            key = (header.spec, header.stripes, header.orig_len, header.crcs)
+            if reference is not None and key != reference:
+                raise ShardFormatError("disagrees with other shards")
             payload, crc = memoryview(raw)[off:], 0
             for lo in range(0, len(payload), 1 << 20):
                 crc = zlib.crc32(payload[lo : lo + (1 << 20)], crc)
                 raw.madvise(mmap.MADV_DONTNEED)  # out of this process's RSS until read again
-            if crc != header.checksum:
+            if crc != header.crcs[header.node - 1]:
                 raise ShardFormatError("checksum mismatch")
             l, field = header.spec.params.l, header.spec.field
             symbols = _bytes_to_symbols(payload, field)
@@ -317,10 +346,7 @@ def _load_shards(shard_dir: Path, nodes: "Sequence[int] | None" = None) -> Itera
                 except ValueError as exc:
                     raise ShardFormatError(str(exc)) from None
                 raw.madvise(mmap.MADV_DONTNEED)
-            key = (header.spec, header.stripes, header.orig_len)
-            if reference is not None and key != reference:
-                raise InadmissibleError("disagrees with other shards")
-        except (ShardFormatError, InadmissibleError) as exc:
+        except ShardFormatError as exc:
             yield _Shard(path.name, error=exc)
             continue
         reference = key

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import struct
 from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable, Sequence
@@ -50,9 +49,6 @@ import numpy as np
 from coopmds.field import Field, FieldSpec, make_field, smallest_field_spec
 
 DEFAULT_SUBPACKET_CAP = 2**24
-
-_FAMILY_CODES = {"fixed_subset": 0, "any_subset": 1, "concatenated": 2}
-_FAMILY_NAMES = {v: k for k, v in _FAMILY_CODES.items()}
 
 
 class InadmissibleError(ValueError):
@@ -269,37 +265,6 @@ class CodeSpec:
         return self, 1
 
     # ---- serialization ------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        p = self.params
-        if self.family == "concatenated":
-            head = struct.pack("<BHHHH", _FAMILY_CODES[self.family], p.n, p.k, 0, 0)
-            comps = struct.pack("<H", len(self.components)) + b"".join(
-                struct.pack("<HH", c.params.h, c.params.d) for c in self.components
-            )
-        else:
-            head = struct.pack("<BHHHH", _FAMILY_CODES[self.family], p.n, p.k, p.h, p.d)
-            comps = struct.pack("<H", 0)
-        return head + self.fieldspec.to_bytes() + comps
-
-    @classmethod
-    def from_bytes(cls, raw: bytes, offset: int = 0) -> tuple["CodeSpec", int]:
-        fam_code, n, k, h, d = struct.unpack_from("<BHHHH", raw, offset)
-        offset += 9
-        if fam_code not in _FAMILY_NAMES:
-            raise ValueError(f"unknown family code {fam_code}")
-        family = _FAMILY_NAMES[fam_code]
-        fieldspec = FieldSpec.from_bytes(raw[offset : offset + 3])
-        offset += 3
-        (ncomp,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        pairs = [struct.unpack_from("<HH", raw, offset + 4 * j) for j in range(ncomp)]
-        offset += 4 * ncomp
-        if family == "concatenated":
-            spec = concat([make_code("any_subset", n, k, ch, cd, fieldspec) for ch, cd in pairs])
-        else:
-            spec = make_code(family, n, k, h, d, fieldspec)
-        return spec, offset
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "CodeSpec":

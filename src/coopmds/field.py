@@ -19,7 +19,6 @@ runs and platforms, which is what makes shard files self-describing.
 from __future__ import annotations
 
 import numbers
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,10 +45,6 @@ _REDUCTION_POLY = {
     15: 0b1000000000000011,
     16: 0x1100B,
 }
-
-_KIND_CODES = {"prime": 0, "binary": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
 
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
@@ -80,18 +75,6 @@ class FieldSpec:
     @property
     def order(self) -> int:
         return self.modulus if self.kind == "prime" else 1 << self.modulus
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<BH", _KIND_CODES[self.kind], self.modulus)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "FieldSpec":
-        if len(raw) != 3:
-            raise ValueError("field descriptor must be 3 bytes")
-        code, modulus = struct.unpack("<BH", raw)
-        if code not in _KIND_NAMES:
-            raise ValueError(f"unknown field kind code: {code}")
-        return cls(_KIND_NAMES[code], modulus)
 
 
 def _clmul_reduce(a: int, b: int, poly: int, w: int) -> int:

@@ -1,18 +1,23 @@
 """Small forms of library operations that only the tests use: field
-division and powers, a record of the completion path taken, one Vandermonde
-system or erasure pattern at a time, one node and row of a code, row labels
-as digit vectors, and the index sets the repair argument is stated in.
-Unlike oracles.py, these call library code.
+division and powers, a record of the completion path taken, shard sets
+rewritten and signed afresh, one Vandermonde system or erasure pattern at a
+time, one node and row of a code, row labels as digit vectors, and the index
+sets the repair argument is stated in.  Unlike oracles.py, these call
+library code.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from coopmds.cli import ShardHeader
 from coopmds.codespec import CodeSpec, build_A, card_A
 from coopmds.field import Field
 from coopmds.grs import _RowGroups, recover_batched, solve_batched
@@ -35,6 +40,27 @@ def spy_completion_paths(monkeypatch) -> list:
 
         monkeypatch.setattr(_RowGroups, f"_apply_by_{path}", spy)
     return taken
+
+
+def rewrite_shards(shard_dir: Path, edit: Callable[[dict], None]) -> None:
+    """Rewrite every shard in shard_dir after edit(shards) has changed them,
+    signed as if one encode had written them.  shards maps each file name to
+    a [header, payload] list, the payload a bytearray; edit may change the
+    payload in place or replace either item.  Every header then carries the
+    first shard's CRC list with each payload's CRC put under the node its
+    header claimed before the edit, and a fresh header CRC."""
+    shards, nodes = {}, {}
+    for path in sorted(shard_dir.glob("shard_*.cmds")):
+        raw = path.read_bytes()
+        header, off = ShardHeader.parse(raw)
+        shards[path.name], nodes[path.name] = [header, bytearray(raw[off:])], header.node
+    edit(shards)
+    crcs = list(next(iter(shards.values()))[0].crcs)
+    for name, (_, payload) in shards.items():
+        crcs[nodes[name] - 1] = zlib.crc32(payload)
+    for name, (header, payload) in shards.items():
+        signed = dataclasses.replace(header, crcs=tuple(crcs))
+        (shard_dir / name).write_bytes(signed.to_bytes() + bytes(payload))
 
 
 def field_div(field: Field, a, b):

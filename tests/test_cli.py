@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import struct
+import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coopmds.cli import (
     CHUNK_STRIPES,
@@ -26,7 +33,7 @@ from coopmds.cli import (
 from coopmds.cluster import ClusterConfig
 from coopmds.codespec import make_code
 from coopmds.field import FieldSpec
-from lib_helpers import spy_completion_paths
+from lib_helpers import rewrite_shards, spy_completion_paths
 from oracles import powered_sweep_witness
 
 
@@ -176,17 +183,26 @@ def test_decode_without_systematic_shards(tmp_path, capsys):
     assert dest.read_bytes() == src.read_bytes()
 
 
-def test_decode_rejects_shards_from_two_generations(tmp_path, capsys):
-    """b's shards 1-2 over a's, as an encode into a used directory leaves them
-    if it dies after two shards; with shard 1 gone, decode reads shards 2 and
-    3, and shards 4 and 5 disagree with what it computes."""
+def two_encodes(tmp_path, size, code):
+    """The shard folders a and b of encodes, with one code, of the random
+    files a.bin and b.bin of one size."""
     dirs = []
     for name, seed in (("a", 21), ("b", 22)):
         src = tmp_path / f"{name}.bin"
-        src.write_bytes(np.random.default_rng(seed).integers(0, 256, 3000, dtype=np.uint8).tobytes())
+        src.write_bytes(np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes())
         dirs.append(tmp_path / name)
-        argv = ["encode", str(src), str(dirs[-1]), "--n", "5", "--k", "2", "--h", "2", "--d", "3"]
-        assert main(argv) == EXIT_OK
+        assert main(["encode", str(src), str(dirs[-1]), *code]) == EXIT_OK
+    return dirs
+
+
+CODE_5223 = ["--n", "5", "--k", "2", "--h", "2", "--d", "3"]
+
+
+def test_decode_rejects_shards_from_two_generations(tmp_path, capsys):
+    """b's shards 1-2 over a's, as an encode into a used directory leaves them
+    if it dies after two shards; with shard 1 gone, decode loads b's shard 2
+    first, and a's shard 3 carries another encode's CRC list."""
+    dirs = two_encodes(tmp_path, 3000, CODE_5223)
     for node in (1, 2):
         name = f"shard_00{node}.cmds"
         (dirs[0] / name).write_bytes((dirs[1] / name).read_bytes())
@@ -195,7 +211,48 @@ def test_decode_rejects_shards_from_two_generations(tmp_path, capsys):
     dest = tmp_path / "x.bin"
     assert main(["decode", str(dirs[0]), str(dest)]) == EXIT_VERIFY
     assert not dest.exists()
-    assert "shard_004.cmds" in capsys.readouterr().err
+    assert "shard_003.cmds: disagrees with other shards" in capsys.readouterr().err
+
+
+def test_decode_rejects_another_encodes_shard_among_shards_1_to_k(tmp_path, capsys):
+    """Shards 1..k decode with no arithmetic and no surplus shard to compare
+    against, so b's shard 1 among a's shards is caught only by its CRC list."""
+    a, b = two_encodes(tmp_path, 3000, CODE_5223)
+    shutil.copyfile(b / "shard_001.cmds", a / "shard_001.cmds")
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(a), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_002.cmds: disagrees with other shards" in capsys.readouterr().err
+
+
+def test_repair_rejects_helpers_from_two_encodes(tmp_path, capsys):
+    """b's shard 3 with a's shards 4 and 5: no shard 1 or 2 is written."""
+    a, b = two_encodes(tmp_path, 3000, CODE_5223)
+    for node in (1, 2):
+        (a / f"shard_00{node}.cmds").unlink()
+    shutil.copyfile(b / "shard_003.cmds", a / "shard_003.cmds")
+    capsys.readouterr()
+    assert main(["repair", str(a), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_VERIFY
+    assert "shard_004.cmds: disagrees with other shards" in capsys.readouterr().err
+    assert sorted(p.name for p in a.iterdir()) == ["shard_003.cmds", "shard_004.cmds", "shard_005.cmds"]
+
+
+def test_repair_writes_no_shard_whose_crc_the_set_does_not_record(tmp_path, capsys):
+    """A helper payload edited and signed afresh passes the loader, but the
+    columns restored from it fail the CRCs encode recorded for shards 1-2."""
+    _, outdir, _ = encode_default(tmp_path)
+    for node in (1, 2):
+        (outdir / f"shard_00{node}.cmds").unlink()
+
+    def bump(payload):
+        payload[0] ^= 1
+
+    _rewrite_payload(outdir / "shard_003.cmds", bump)
+    capsys.readouterr()
+    assert main(["repair", str(outdir), "--fail", "1,2", "--helpers", "3,4,5"]) == EXIT_VERIFY
+    assert "restored payload disagrees with its CRC in the set" in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == ["shard_003.cmds", "shard_004.cmds", "shard_005.cmds"]
 
 
 def test_decode_with_too_few_shards(tmp_path):
@@ -215,9 +272,10 @@ def test_decode_rejects_corrupt_shard(tmp_path):
 
 
 def _relabel(path, node):
-    header, off = ShardHeader.parse(path.read_bytes())
-    relabelled = ShardHeader(header.spec, node, header.stripes, header.orig_len, header.checksum)
-    path.write_bytes(relabelled.to_bytes() + path.read_bytes()[off:])
+    def edit(shards):
+        shards[path.name][0] = dataclasses.replace(shards[path.name][0], node=node)
+
+    rewrite_shards(path.parent, edit)
 
 
 def test_decode_rejects_two_shards_claiming_one_node(tmp_path):
@@ -255,18 +313,42 @@ def test_decode_rejects_an_orig_len_the_stripes_cannot_hold(tmp_path, capsys):
     assert main(argv) == EXIT_OK
     for node in (2, 3, 4):
         (outdir / f"shard_00{node}.cmds").unlink()
-    path = outdir / "shard_001.cmds"
-    header, off = ShardHeader.parse(path.read_bytes())
-    assert header.orig_len == 3001
-    flip = header.orig_len ^ (1 << 40)
-    flipped = ShardHeader(header.spec, 1, header.stripes, flip, header.checksum)
-    path.write_bytes(flipped.to_bytes() + path.read_bytes()[off:])
+
+    def flip(shards):
+        header = shards["shard_001.cmds"][0]
+        assert header.orig_len == 3001
+        shards["shard_001.cmds"][0] = dataclasses.replace(header, orig_len=header.orig_len ^ (1 << 40))
+
+    rewrite_shards(outdir, flip)  # signed afresh, so the stripe count is what catches it
     capsys.readouterr()
     dest = tmp_path / "x.bin"
     assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
     assert not dest.exists()
     assert "shard_001.cmds" in capsys.readouterr().err
     assert main(["verify", str(outdir)]) == EXIT_VERIFY
+
+
+def test_a_flipped_low_orig_len_bit_fails_the_header_crc(tmp_path, capsys):
+    """k=1 with only shard 1 left: bit 1 of orig_len flipped on disk gives
+    3,003, which the same 1,001 stripes hold, so decode used to exit 0 and
+    write the input plus two zero bytes."""
+    src = tmp_path / "in.bin"
+    src.write_bytes(np.random.default_rng(8).integers(0, 256, 3001, dtype=np.uint8).tobytes())
+    outdir = tmp_path / "shards"
+    argv = ["encode", str(src), str(outdir), "--n", "4", "--k", "1", "--h", "2", "--d", "2"]
+    assert main(argv) == EXIT_OK
+    for node in (2, 3, 4):
+        (outdir / f"shard_00{node}.cmds").unlink()
+    path = outdir / "shard_001.cmds"
+    raw = bytearray(path.read_bytes())
+    at = raw.index((3001).to_bytes(8, "little"), 0, ShardHeader.parse(bytes(raw))[1])
+    raw[at] ^= 0b10
+    path.write_bytes(raw)
+    capsys.readouterr()
+    dest = tmp_path / "x.bin"
+    assert main(["decode", str(outdir), str(dest)]) == EXIT_VERIFY
+    assert not dest.exists()
+    assert "shard_001.cmds: header checksum mismatch" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("damage", ["bad-crc", "short-payload", "symbol-outside-gf13"])
@@ -370,12 +452,7 @@ def test_verify_flags_node_outside_the_code(tmp_path, capsys):
 
 
 def _rewrite_payload(path, edit):
-    header, off = ShardHeader.parse(path.read_bytes())
-    payload = bytearray(path.read_bytes()[off:])
-    edit(payload)
-    crc = zlib.crc32(bytes(payload))
-    fresh = ShardHeader(header.spec, header.node, header.stripes, header.orig_len, crc)
-    path.write_bytes(fresh.to_bytes() + bytes(payload))
+    rewrite_shards(path.parent, lambda shards: edit(shards[path.name][1]))
 
 
 def test_symbols_outside_a_prime_field_are_rejected(tmp_path, capsys):
@@ -425,9 +502,12 @@ def test_verify_report_names_the_oracle_witness(tmp_path, capsys, field, family,
     for node, delta in edits.items():
         columns[node] = columns[node].copy()
         columns[node][row, stripe] = spec.field.add(int(columns[node][row, stripe]), delta)
-        payload = _symbols_to_bytes(columns[node].T, spec.field)
-        header = ShardHeader(spec, node, headers[node].stripes, headers[node].orig_len, zlib.crc32(payload))
-        (outdir / f"shard_{node:03d}.cmds").write_bytes(header.to_bytes() + payload)
+
+    def edit(shards):
+        for node in edits:
+            shards[f"shard_{node:03d}.cmds"][1] = _symbols_to_bytes(columns[node].T, spec.field)
+
+    rewrite_shards(outdir, edit)  # every CRC holds, so verify reaches the parity sweep
     cells = np.stack([columns[node] for node in range(1, n + 1)], axis=1)
     ok, t, witness_row = powered_sweep_witness(spec, cells)
     assert not ok and (t > 0) == cancel_t0
@@ -454,11 +534,12 @@ def test_verify_names_the_first_witness_over_every_chunk(tmp_path, capsys):
     for node, delta in ((n - 1, 5), (n, field.neg(5))):  # cancels the t=0 check
         columns[node][3, 0] = field.add(int(columns[node][3, 0]), delta)
     columns[n - 1][stripes - 2, 2] = field.add(int(columns[n - 1][stripes - 2, 2]), 1)
-    for node in (n - 1, n):
-        payload = _symbols_to_bytes(columns[node], field)
-        header = headers[node]
-        fresh = ShardHeader(header.spec, node, header.stripes, header.orig_len, zlib.crc32(payload))
-        (outdir / f"shard_{node:03d}.cmds").write_bytes(fresh.to_bytes() + payload)
+
+    def edit(shards):
+        for node in (n - 1, n):
+            shards[f"shard_{node:03d}.cmds"][1] = _symbols_to_bytes(columns[node], field)
+
+    rewrite_shards(outdir, edit)  # every CRC holds, so verify reaches the parity sweep
     capsys.readouterr()
     assert main(["verify", str(outdir)]) == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["parity"] == {"ok": False, "check": 0, "row": 2}
@@ -529,11 +610,11 @@ def test_an_odd_byte_count_pads_one_byte_in_a_two_byte_field(tmp_path):
 GOLDEN = {
     ("fixed_subset", 5, 2, 2, 3, 256, "1,2", "3,4,5"): (
         {
-            "shard_001.cmds": "79778ec1026861209d2b7b90878dde826557bfb82fb7ea87e15432f505c1209c",
-            "shard_002.cmds": "691151c2c3fb75959ccadee3779122e849d59cace47b8e3a2e3f48ec2b5fe0c9",
-            "shard_003.cmds": "ec9608f5bc6cd7c0a0d4a5d68c5addb727d8e3526c50063f6b4133725922a32d",
-            "shard_004.cmds": "b6be10db7d7b410ca359f7731f5e1df1a9755a390eb0813eb0d9a838fdeea073",
-            "shard_005.cmds": "c43ba6d4e5620505354098212f1dd1a3fd5461633725e961b6e95943d5cd27a3",
+            "shard_001.cmds": "e60adb9b9d5d77f42d70f4f6b3819536e510fe1cc1ff82aae3ab02d77d7d0799",
+            "shard_002.cmds": "b76b3031a6c703173e737c4aca74707bb8d31e300d920dc2ab997654af8f2a88",
+            "shard_003.cmds": "5a0a0b4476cdbc628d89f6c26d983d38cef1f45ff273c3cf1cc124aa0ec7bd6b",
+            "shard_004.cmds": "48a64aec495715d2d07dd59f9e895ca9d61f24ea53e37c6b63a86512a3118159",
+            "shard_005.cmds": "06a2bf0e2a9a2c499aa56e8ffccfd35a2c14cbe70b2fd99d8cd63f8b66b2115c",
         },
         b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":171,"2->1":171,'
         b'"3->1":171,"3->2":171,"4->1":171,"4->2":171,"5->1":171,"5->2":171},'
@@ -543,11 +624,11 @@ GOLDEN = {
     ),
     ("fixed_subset", 5, 2, 2, 3, 65536, "1,2", "3,4,5"): (
         {
-            "shard_001.cmds": "d5ee2ee469a5f38e32a60cd85f30c4f9f619b4d5bfa604011aa3d9b258c755b1",
-            "shard_002.cmds": "8b103edaa6d2d1f59933621cbd0442e855c8842cb86b793d9793bec7834511bc",
-            "shard_003.cmds": "4e9e575434a8a30c4bdcf279b4f2309d1e7e4efc9739f6081a0a25c21f48f4f2",
-            "shard_004.cmds": "615170127896241e3ee214eb6be8b274224102a7153068282d66e029a724bd79",
-            "shard_005.cmds": "d3e4fec004397955c56328503375b84a335c26f59af6941ed2572a2c291f7841",
+            "shard_001.cmds": "195e5b6168358a96919461a5a47eb48db45169ba9124442393577eecb465e0bf",
+            "shard_002.cmds": "baca45a2236742ef4da77e45e8f0a757e435f837c84e31d67a476d0df2962654",
+            "shard_003.cmds": "140f84f3bb707e2878b7282b02d6a66649938367ee3361c38fe1033505e9b4f5",
+            "shard_004.cmds": "5efe220b26e31f5049401593bc1a7188fde821514833aa77dcc2758e8e8fcaff",
+            "shard_005.cmds": "08eee9d5fc087d28e18bb19f5d0b39004f0740a1eae3cb69c402be496f67e8e7",
         },
         b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":86,"2->1":86,'
         b'"3->1":86,"3->2":86,"4->1":86,"4->2":86,"5->1":86,"5->2":86},'
@@ -557,11 +638,11 @@ GOLDEN = {
     ),
     ("fixed_subset", 5, 2, 2, 3, 13, "1,2", "3,4,5"): (
         {
-            "shard_001.cmds": "aefe25cc58ba590deb8d07c706688b17a83a589105bfa316291309b7801182ba",
-            "shard_002.cmds": "7160197944b7d8258807df189350687c331777826f17946f81e3ed9a066c421d",
-            "shard_003.cmds": "6438a2961afad88945e6dd93c2a257e3dc5d58369967a263d198862b3c7de48f",
-            "shard_004.cmds": "b10fa727178ea5ae2d1fcbd96aa707be1a6d242bc5265a22a5cdf0514dc376d9",
-            "shard_005.cmds": "46ca11d278f94e16000d462df2dfa41dbfb43e0dca8795aad31a5acde1b8f4ca",
+            "shard_001.cmds": "e5dc97065a2a3568c64d53b3ef74913068cf08b35768a97b8ef8ffe12944722f",
+            "shard_002.cmds": "a7ba04be699007f7958609788df7fa0b7709dbfad7b8314085641d569c3082a8",
+            "shard_003.cmds": "b3a94c30f9002176638200dd3d4145e8ba993750c948883a0823d78f7981b1a8",
+            "shard_004.cmds": "b5c0fb2699db84b16fa344642a272fc2a274d0e888f8edd22af09456eff1a99f",
+            "shard_005.cmds": "5e3f6b626a78746ce4b5d57bf6781cab80d2deeb6e245cd456f3857141b3948b",
         },
         b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":1024,"2->1":1024,'
         b'"3->1":1024,"3->2":1024,"4->1":1024,"4->2":1024,"5->1":1024,"5->2":1024},'
@@ -571,11 +652,11 @@ GOLDEN = {
     ),
     ("fixed_subset", 5, 2, 2, 3, 251, "1,2", "3,4,5"): (
         {
-            "shard_001.cmds": "c0439b33d6271d5dd48e708436567250eef1a106607b9d730deba007c6cd3afa",
-            "shard_002.cmds": "67eddc58e9457809a4c34191867fe6b548035d77bda024a9019fecde99d70bfd",
-            "shard_003.cmds": "dcf3ec713969d77abab250582420a129417b5bd3bc7e55dfa8f20122e90507bc",
-            "shard_004.cmds": "a42182899a461cf73ff17849d2df2a26779b5a488c9b8f071e78a6819c3e1a51",
-            "shard_005.cmds": "624e6a3e12451884534b268d2b3d103e92a16a23db547f558bb14db859fdf518",
+            "shard_001.cmds": "312be3cb066150ac22a7f43a8cd06bec4551134a78ed1cff285d90c2dea4d10a",
+            "shard_002.cmds": "27ca331fe62ab4a969f7c7f435a926c7c86eb92fb8a2c89ec03486138d36e5ea",
+            "shard_003.cmds": "d11d5c9eef303c897e4c011ef137d4dd8a4628d07d1cea3b998c0fa58ba0473c",
+            "shard_004.cmds": "0a9f8c207cbd0721988cd8efd90255d5395e6b7ae1df0091392b880943d9a72a",
+            "shard_005.cmds": "c0de9b643788a67f83f435be5644af6f99ce4b3d48ee8f23ffd8c9408f4088cd",
         },
         b'{"bounds":{"centralized":6,"cooperative":8},"links":{"1->2":1024,"2->1":1024,'
         b'"3->1":1024,"3->2":1024,"4->1":1024,"4->2":1024,"5->1":1024,"5->2":1024},'
@@ -585,10 +666,10 @@ GOLDEN = {
     ),
     ("any_subset", 4, 1, 2, 2, 256, "1,3", "2,4"): (
         {
-            "shard_001.cmds": "7023ccf6e773b8360548a6b79ad5f5c2fe3fe1552da94c08d393999152886d41",
-            "shard_002.cmds": "0bac0a2932724f4339bbdde61a6e76bd2dd861a4633ebed0b7fe421910967033",
-            "shard_003.cmds": "a875f9a6397fb1cdc43262923e533e4a38232ecb42f579670bbc8b7d963e2bab",
-            "shard_004.cmds": "f6a8e167ba726836ccda3c8f553889e053e0133014fecb15bb58d43b87bac288",
+            "shard_001.cmds": "541fb657dc75566e358374c16a949f1560c99294a3401cb6cb36847bfdc954ed",
+            "shard_002.cmds": "db39dbe2fba8ef9fc7828fd27e4f3f91afb4729eb854cf55a14a14feb9ef00f4",
+            "shard_003.cmds": "25476733b24dca09da99a2b8cc24bbf5200af6e0605c9ce2dde10aeae4321868",
+            "shard_004.cmds": "d336e65212574bf2db8d1164b63a7f4b68d82ec034720b51cc339d3f460598e5",
         },
         b'{"bounds":{"centralized":972,"cooperative":1458},"links":{"1->3":486,'
         b'"2->1":486,"2->3":486,"3->1":486,"4->1":486,"4->3":486},'
@@ -754,16 +835,39 @@ def test_int_list_parsing():
         _int_list("1,x")
 
 
-def test_header_parse_rejects_garbage():
+def test_header_parse_rejects_garbage(tmp_path, capsys):
     with pytest.raises(ShardFormatError, match="magic"):
         ShardHeader.parse(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ShardFormatError):
         ShardHeader.parse(b"CMDS\x01")
     spec = make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("prime", 7))
-    header = ShardHeader(spec, 1, 4, 24, 99)
-    parsed, off = ShardHeader.parse(header.to_bytes() + b"payload")
+    header = ShardHeader(spec, 1, 4, 24, (99, 1, 2, 3, 4))
+    raw = header.to_bytes()
+    parsed, off = ShardHeader.parse(raw + b"payload")
     assert parsed == header
-    assert header.to_bytes()[off:] == b""
+    assert raw[off:] == b""
+    # a signed header whose length disagrees with its fields
+    body = raw[13:] + b"\x00"
+    size = struct.pack("<I", 13 + len(body))
+    padded = raw[:5] + struct.pack("<I", zlib.crc32(size + body)) + size + body
+    with pytest.raises(ShardFormatError, match="length disagrees"):
+        ShardHeader.parse(padded)
+    # the header CRC leaves no single flipped bit unseen
+    for bit in range(8 * len(raw)):
+        flipped = bytearray(raw + b"payload")
+        flipped[bit // 8] ^= 1 << bit % 8
+        with pytest.raises(ShardFormatError):
+            ShardHeader.parse(bytes(flipped))
+    # a format-1 shard: magic, version 1, field (kind, modulus), the code in
+    # binary (family, n, k, h, d, field again, no components), node,
+    # stripes, orig_len and payload CRC, then its payload
+    folder = tmp_path / "v1"
+    folder.mkdir()
+    v1 = b"CMDS\x01" + struct.pack("<BH", 0, 7) + struct.pack("<BHHHHBHH", 0, 5, 2, 2, 3, 0, 7, 0)
+    (folder / "shard_001.cmds").write_bytes(v1 + struct.pack("<HIQI", 1, 4, 24, 0) + bytes(12))
+    capsys.readouterr()
+    assert main(["decode", str(folder), str(tmp_path / "x.bin")]) == EXIT_VERIFY
+    assert capsys.readouterr().err == "error: shard_001.cmds: unsupported shard version 1\n"
 
 
 # ---- atomic writes -------------------------------------------------------------
@@ -1011,3 +1115,94 @@ def test_file_ops_peak_memory_follows_the_chunk_not_the_file(tmp_path):
     one, four = peaks(CHUNK_STRIPES), peaks(4 * CHUNK_STRIPES)
     for op in one:
         assert four[op] <= 1.5 * one[op], f"{op}: {four[op] / 2**20:.2f} against {one[op] / 2**20:.2f} MiB"
+
+
+# ---- damaged shard sets ----------------------------------------------------------
+
+DAMAGE_CODES = {
+    "5223-gf256": CODE_5223,
+    "4122-gf256": ["--n", "4", "--k", "1", "--h", "2", "--d", "2"],
+    "4122-gf65536": ["--n", "4", "--k", "1", "--h", "2", "--d", "2", "--field", "65536"],
+}
+
+
+@pytest.fixture(scope="module")
+def encoded_pairs(tmp_path_factory):
+    """Per code: the file a.bin and the folders a and b of the encodes of two
+    random 601-byte files."""
+    pairs = {}
+    for name, code in DAMAGE_CODES.items():
+        root = tmp_path_factory.mktemp(name)
+        a, b = two_encodes(root, 601, code)
+        pairs[name] = root / "a.bin", a, b
+    return pairs
+
+
+def damage(shards, other, data):
+    """One of: flip a bit of a shard (in its first 160 bytes, which hold the
+    header, or anywhere), truncate it, rename it or copy it over another
+    node's name, or put the other encode's shard of that node in its place."""
+    path = shards / data.draw(st.sampled_from(sorted(p.name for p in shards.iterdir())))
+    raw = bytearray(path.read_bytes())
+    kinds = ["rename", "duplicate", "swap"] + (["flip", "truncate"] if raw else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "flip":
+        bit = data.draw(st.integers(0, 8 * min(len(raw), 160) - 1) | st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(raw)
+    elif kind == "truncate":
+        path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    elif kind == "swap":
+        shutil.copyfile(other / path.name, path)
+    else:
+        names = [p.name for p in other.iterdir() if p.name != path.name]
+        target = shards / data.draw(st.sampled_from(sorted(names)))
+        if kind == "rename":
+            os.replace(path, target)
+        else:
+            shutil.copyfile(path, target)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(code=st.sampled_from(sorted(DAMAGE_CODES)), command=st.sampled_from(["decode", "verify", "repair"]), data=st.data())
+def test_a_damaged_shard_set_is_refused_or_read_exactly(encoded_pairs, code, command, data):
+    """After one or two kinds of damage to a's shards, every command either
+    exits 2 or 3 and leaves nothing new under a final name, or gives exact
+    output: the original file, a clean verify of an untouched set, or
+    restored shards equal to the encoded ones.  Repair restores nodes 1..h
+    from the first d of the other shards still present."""
+    original, a, b = encoded_pairs[code]
+    n, _, h, d = (int(v) for v in DAMAGE_CODES[code][1:8:2])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shards = work / "shards"
+        shutil.copytree(a, shards)
+        for _ in range(data.draw(st.integers(1, 2))):
+            damage(shards, b, data)
+        if command == "repair":
+            for node in range(1, h + 1):
+                (shards / f"shard_{node:03d}.cmds").unlink(missing_ok=True)
+            helpers = [j for j in range(h + 1, n + 1) if (shards / f"shard_{j:03d}.cmds").exists()][:d]
+            argv = ["repair", str(shards), "--fail", ",".join(map(str, range(1, h + 1)))]
+            argv += ["--helpers", ",".join(map(str, helpers))]
+        elif command == "decode":
+            argv = ["decode", str(shards), str(work / "out.bin")]
+        else:
+            argv = ["verify", str(shards)]
+        before = folder_snapshot(shards)
+        rc = main(argv)
+        if rc in (EXIT_INADMISSIBLE, EXIT_VERIFY):
+            assert folder_snapshot(shards) == before
+            assert sorted(os.listdir(work)) == ["shards"]
+        else:
+            assert rc == EXIT_OK
+            if command == "decode":
+                assert (work / "out.bin").read_bytes() == original.read_bytes()
+            expect = folder_snapshot(a)
+            if command == "repair":
+                expect = {name: expect[name] for name in before} | {
+                    f"shard_{node:03d}.cmds": expect[f"shard_{node:03d}.cmds"] for node in range(1, h + 1)
+                }
+                assert folder_snapshot(shards) == expect
+            elif command == "verify":
+                assert folder_snapshot(shards) == expect

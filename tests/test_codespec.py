@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
+from coopmds.cli import ShardHeader
 from coopmds.codespec import (
     CodeParams,
     CodeSpec,
@@ -484,18 +486,21 @@ def test_multiindex_rejects_invalid_block():
 
 
 def test_spec_serialization_round_trip():
+    """Through canonical JSON, as a shard header stores the code, and
+    through a whole format-2 header."""
     specs = [
         make_code("fixed_subset", 5, 2, 2, 3, GF7),
         make_code("any_subset", 4, 1, 2, 2, GF13),
         universal_code(4, 1),
     ]
     for spec in specs:
-        raw = spec.to_bytes()
-        back, used = CodeSpec.from_bytes(raw)
-        assert used == len(raw)
-        assert back == spec
+        text = json.dumps(spec.descriptor(), sort_keys=True, separators=(",", ":"))
+        back = CodeSpec.from_descriptor(json.loads(text))
+        assert back == spec and back.descriptor() == spec.descriptor()
         assert np.array_equal(back.coeff_matrix(), spec.coeff_matrix())
-        assert CodeSpec.from_descriptor(spec.descriptor()) == spec
+        header = ShardHeader(spec, 1, 4, 24, tuple(range(spec.params.n)))
+        parsed, off = ShardHeader.parse(header.to_bytes())
+        assert parsed == header and off == len(header.to_bytes())
 
 
 def test_mask_columns_matches_scalar_mask_f():

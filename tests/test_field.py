@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from coopmds.field import (
     make_field,
     smallest_field_spec,
 )
-from coopmds.codespec import InadmissibleError, make_code, universal_code
+from coopmds.codespec import CodeSpec, InadmissibleError, make_code, universal_code
 from lib_helpers import field_div, field_pow, lambdas_flat
 from oracles import log_exp_tables
 
@@ -178,14 +179,16 @@ def test_field_spec_validation():
 
 
 def test_field_spec_serialization_round_trip():
+    """The field object of a code descriptor, through canonical JSON as a
+    shard header stores it."""
     for spec in [FieldSpec("prime", 65521), FieldSpec("binary", 16), FieldSpec("prime", 2)]:
-        raw = spec.to_bytes()
-        assert len(raw) == 3
-        assert FieldSpec.from_bytes(raw) == spec
-    with pytest.raises(ValueError):
-        FieldSpec.from_bytes(b"\x05\x00\x01")
-    with pytest.raises(ValueError):
-        FieldSpec.from_bytes(b"\x00\x07")
+        doc = json.loads(json.dumps({"kind": spec.kind, "modulus": spec.modulus}, sort_keys=True))
+        assert FieldSpec(doc["kind"], doc["modulus"]) == spec
+    code = make_code("fixed_subset", 5, 2, 2, 3, FieldSpec("prime", 7))
+    assert code.descriptor()["field"] == {"kind": "prime", "modulus": 7}
+    for field in ({"kind": "ternary", "modulus": 1}, {"kind": "prime", "modulus": 9}):
+        with pytest.raises(ValueError):
+            CodeSpec.from_descriptor(dict(code.descriptor(), field=field))
 
 
 def test_zero_division():

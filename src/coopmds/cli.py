@@ -136,7 +136,7 @@ class ShardHeader:
             spec = CodeSpec.from_descriptor(json.loads(raw[off - spec_len : off]))
             node, stripes, orig_len = _TRAILER.unpack_from(raw, off)
             crcs = struct.unpack_from(f"<{spec.params.n}I", raw, off + _TRAILER.size)
-        except (ValueError, KeyError, TypeError, struct.error) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError, struct.error) as exc:
             raise ShardFormatError(f"unreadable header: {exc}") from exc
         if off + _TRAILER.size + 4 * len(crcs) != size:
             raise ShardFormatError("header length disagrees with its fields")

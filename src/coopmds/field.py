@@ -46,6 +46,7 @@ _REDUCTION_POLY = {
     16: 0x1100B,
 }
 
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
 

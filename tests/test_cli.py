@@ -846,12 +846,17 @@ def test_header_parse_rejects_garbage(tmp_path, capsys):
     parsed, off = ShardHeader.parse(raw + b"payload")
     assert parsed == header
     assert raw[off:] == b""
-    # a signed header whose length disagrees with its fields
-    body = raw[13:] + b"\x00"
-    size = struct.pack("<I", 13 + len(body))
-    padded = raw[:5] + struct.pack("<I", zlib.crc32(size + body)) + size + body
+
+    def signed(body):
+        size = struct.pack("<I", 13 + len(body))
+        return raw[:5] + struct.pack("<I", zlib.crc32(size + body)) + size + body
+
+    # signed headers: one whose length disagrees with its fields, and one
+    # whose spec nests JSON arrays past the parser's recursion limit
     with pytest.raises(ShardFormatError, match="length disagrees"):
-        ShardHeader.parse(padded)
+        ShardHeader.parse(signed(raw[13:] + b"\x00"))
+    with pytest.raises(ShardFormatError, match="unreadable header"):
+        ShardHeader.parse(signed(struct.pack("<H", 60000) + b"[" * 60000))
     # the header CRC leaves no single flipped bit unseen
     for bit in range(8 * len(raw)):
         flipped = bytearray(raw + b"payload")
